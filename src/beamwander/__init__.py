@@ -9,7 +9,8 @@ Submodules:
              OAM crosstalk spectra.
     stats    ACF/PACF, radial variance, run-length distributions, empirical
              PDFs and the scintillation index.
-    ingest   Centroid extraction from intensity frames and trace file I/O.
+    ingest   Centroid extraction from intensity frames, trace file I/O and
+             the CSV writer and reader every file goes through.
     cli      Batch command-line pipeline.
 """
 

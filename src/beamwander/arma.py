@@ -13,13 +13,14 @@ diagnostics.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from statistics import NormalDist
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .stats import acf as _acf
 
@@ -28,6 +29,14 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # Innovations for simulate() are drawn as
 #   np.random.default_rng(seed).normal(0, sqrt(sigma2), n + burn_in)
 # which makes the stream reproducible outside this module.
+
+
+def lfilter(b, a, x) -> np.ndarray:
+    """scipy.signal.lfilter, imported on first use: the import takes over
+    a second, which commands that never filter should not pay. After that
+    a call costs one sys.modules lookup (an order scan makes thousands)."""
+    signal = sys.modules.get("scipy.signal") or importlib.import_module("scipy.signal")
+    return signal.lfilter(b, a, x)
 
 
 class FitConvergenceError(RuntimeError):
@@ -268,47 +277,57 @@ def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A.T @ A, A.T @ y, rcond=None)[0]
 
 
-def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool) -> np.ndarray:
-    """Two-stage initial estimate: long-AR regression for innovation
-    proxies, then OLS of x on its own lags and the proxy lags, each solved
-    through its normal equations. Falls back to zeros (c to the sample
-    mean) if either regression is singular."""
+def _long_ar_innovations(x: np.ndarray) -> np.ndarray | None:
+    """First Hannan-Rissanen stage: residuals of a long AR(m) regression
+    with intercept, m = min(20, n // 10) (at least 1), zero for t < m;
+    None when the regression is singular. It depends on the series alone,
+    so one array serves every (p, q) fitted to it."""
+    n = x.size
+    m = max(min(20, n // 10), 1)
+    A = np.empty((n - m, m + 1), order="F")
+    A[:, 0] = 1.0
+    for i in range(1, m + 1):
+        A[:, i] = x[m - i:n - i]
+    try:
+        coef = _ols(A, x[m:])
+    except np.linalg.LinAlgError:
+        return None
+    eps_hat = np.zeros(n)
+    eps_hat[m:] = x[m:] - A @ coef
+    return eps_hat
+
+
+def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool,
+                     eps_hat: np.ndarray | None) -> np.ndarray:
+    """Two-stage initial estimate: OLS of x on its own lags and the lags of
+    the long-AR innovation proxies eps_hat (`_long_ar_innovations`),
+    solved through the normal equations. Falls back to zeros (c to the
+    sample mean) if either regression is singular."""
     n = x.size
     k = (1 if estimate_c else 0) + p + q
     fallback = np.zeros(k)
     if estimate_c:
         fallback[0] = x.mean()
-    if p + q == 0:
+    if p + q == 0 or eps_hat is None:
         return fallback
-    m = min(20, n // 10)
-    m = max(m, 1)
+    start = max(min(20, n // 10), 1) + max(p, q)
+    rows = n - start
+    if rows <= k:
+        return fallback
+    cols = []
+    if estimate_c:
+        cols.append(np.ones(rows))
+    for i in range(1, p + 1):
+        cols.append(x[start - i:n - i])
+    for j in range(1, q + 1):
+        cols.append(eps_hat[start - j:n - j])
     try:
-        rows = n - m
-        A = np.empty((rows, m + 1), order="F")
-        A[:, 0] = 1.0
-        for i in range(1, m + 1):
-            A[:, i] = x[m - i:n - i]
-        coef = _ols(A, x[m:])
-        eps_hat = np.zeros(n)
-        eps_hat[m:] = x[m:] - A @ coef
-
-        start = m + max(p, q)
-        rows = n - start
-        if rows <= k:
-            return fallback
-        cols = []
-        if estimate_c:
-            cols.append(np.ones(rows))
-        for i in range(1, p + 1):
-            cols.append(x[start - i:n - i])
-        for j in range(1, q + 1):
-            cols.append(eps_hat[start - j:n - j])
         beta = _ols(np.column_stack(cols), x[start:])
-        if not np.all(np.isfinite(beta)):
-            return fallback
-        return beta
     except np.linalg.LinAlgError:
         return fallback
+    if not np.all(np.isfinite(beta)):
+        return fallback
+    return beta
 
 
 def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
@@ -398,23 +417,25 @@ def _common_factor_starts(nested: np.ndarray, p: int, q: int,
 
 
 def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
-              tol: float, start_params=None, nested=None):
+              tol: float, eps_hat: np.ndarray | None, start_params=None,
+              nested=None):
     """Lowest-CSS Gauss-Newton end point over the deterministic start set.
 
-    Starts, in order: Hannan-Rissanen (zeros when its CSS is not finite),
-    start_params, and for p, q >= 1 the common-factor extensions of the
-    (p-1, q-1) parameter vector `nested`, which is fitted here when not
-    given. Starts with non-finite CSS are skipped; on ties the earlier
-    start wins. Returns (params, css, iterations, converged), iterations
-    being the most any start took.
+    Starts, in order: Hannan-Rissanen from the long-AR innovations eps_hat
+    (zeros when its CSS is not finite), start_params, and for p, q >= 1
+    the common-factor extensions of the (p-1, q-1) parameter vector
+    `nested`, which is fitted here when not given. Starts with non-finite
+    CSS are skipped; on ties the earlier start wins. Returns (params, css,
+    iterations, converged), iterations being the most any start took.
     """
-    hr = _hannan_rissanen(x, p, q, estimate_c)
+    hr = _hannan_rissanen(x, p, q, estimate_c, eps_hat)
     if not np.isfinite(_css(hr, x, p, q, estimate_c)[0]):
         hr = np.zeros_like(hr)
     extra = [] if start_params is None else [start_params]
     if p > 0 and q > 0:
         if nested is None:
-            nested = _minimize(x, p - 1, q - 1, estimate_c, max_iter, tol)[0]
+            nested = _minimize(x, p - 1, q - 1, estimate_c, max_iter, tol,
+                               eps_hat)[0]
         extra += _common_factor_starts(nested, p, q, estimate_c)
     starts = [hr] + [s for s in extra
                      if np.isfinite(_css(s, x, p, q, estimate_c)[0])]
@@ -439,7 +460,8 @@ def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarra
 def fit_css(series, p: int, q: int, estimate_c: bool = True,
             sample_period: float = 1.0, units: str = "",
             max_iter: int = 500, tol: float = 1e-10,
-            start_params=None, nested: FitReport | None = None) -> FitReport:
+            start_params=None, nested: FitReport | None = None,
+            innovations: np.ndarray | None = None) -> FitReport:
     """Conditional-least-squares ARMA fit.
 
     Minimizes the conditional sum of squared innovations (zero pre-sample
@@ -457,6 +479,10 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
       (a, m) = (0.99, 0.97) and (0.9, 0.8). That fit is `nested` when
       supplied (a (p-1, q-1) FitReport of the same series and
       estimate_c), else fitted here the same way.
+
+    `innovations` is the long-AR first stage of Hannan-Rissanen for this
+    series, computed here when not given; it depends on the series alone,
+    so order_scan computes it once for the whole grid.
 
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
     the Hannan-Rissanen start alone often ends in a local minimum whose
@@ -488,8 +514,10 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
         if (nested.model.p, nested.model.q) != (p - 1, q - 1):
             raise ValueError(f"nested must be a ({p - 1}, {q - 1}) fit")
         nested = _pad_start(nested, p - 1, q - 1, estimate_c)
+    if innovations is None and p + q > 0:
+        innovations = _long_ar_innovations(x)
     params, css, iterations, converged = _minimize(
-        x, p, q, estimate_c, max_iter, tol, start_params, nested)
+        x, p, q, estimate_c, max_iter, tol, innovations, start_params, nested)
 
     c, ar, ma = _unpack(params, p, q, estimate_c)
     dof = n - p - q - 1
@@ -538,6 +566,9 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
+    x = np.asarray(series, dtype=float)
+    innovations = (_long_ar_innovations(x)
+                   if x.size > 0 and np.all(np.isfinite(x)) else None)
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
     for p in range(p_max + 1):
@@ -552,10 +583,11 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
                                    fitted[prev].css))
             start = min(starts, key=lambda t: t[1])[0] if starts else None
             try:
-                rep = fit_css(series, p, q, estimate_c=estimate_c,
+                rep = fit_css(x, p, q, estimate_c=estimate_c,
                               sample_period=sample_period, units=units,
                               start_params=start,
-                              nested=fitted.get((p - 1, q - 1)))
+                              nested=fitted.get((p - 1, q - 1)),
+                              innovations=innovations)
                 fitted[(p, q)] = rep
                 row.update(converged=rep.converged, stationary=rep.stationary,
                            invertible=rep.invertible, aic=rep.aic,

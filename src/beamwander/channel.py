@@ -9,7 +9,6 @@ displacement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +39,22 @@ class OamSpectrum:
 
 @dataclass
 class CrosstalkTrace:
-    """Per-sample OAM spectra plus the normalized wander radii r_c/omega_st."""
+    """OAM mode weights along a wander trace: weights[t, l + l_max] is C_l
+    at sample t, for l = -l_max..l_max; r_norm is r_c/omega_st."""
 
-    spectra: list[OamSpectrum]
+    weights: np.ndarray
     r_norm: np.ndarray
     sample_period: float = 1.0
 
+    @property
+    def l_max(self) -> int:
+        return (self.weights.shape[1] - 1) // 2
+
     def mode_series(self, l: int) -> np.ndarray:
-        return np.array([s.weight(l) for s in self.spectra])
+        """C_l over the trace, a column view of weights."""
+        if abs(l) > self.l_max:
+            raise IndexError(f"mode {l} outside +-{self.l_max}")
+        return self.weights[:, l + self.l_max]
 
 
 def intensity_from_offsets(beta_x, beta_y, omega_st: float, i0=1.0):
@@ -112,84 +119,31 @@ def estimate_gamma(intensities) -> float:
     return -x.size / s
 
 
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind I_n(x), x >= 0, n >= 0.
-
-    Ascending power series for x <= 15; Miller backward recurrence
-    normalized by the generating-function identity
-    exp(x) = I_0 + 2 sum_{k>=1} I_k for larger x. At least 1e-12 relative
-    accuracy for x <= 50 and order <= 64.
-    """
-    if order < 0:
-        raise ValueError("order must be a non-negative integer")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x <= 15.0:
-        # term_k = (x/2)^(2k+n) / (k! (k+n)!)
-        half = 0.5 * x
-        term = half**order / math.factorial(order)
-        total = term
-        for k in range(1, 200):
-            term *= half * half / (k * (k + order))
-            total += term
-            if term < 1e-17 * total:
-                break
-        return total
-    start = int(max(order, x)) + 40
-    if start % 2:
-        start += 1
-    i_hi, i_lo = 0.0, 1e-300
-    norm = 0.0
-    target = 0.0
-    for k in range(start, 0, -1):
-        i_cur = i_hi + (2.0 * k / x) * i_lo
-        i_hi, i_lo = i_lo, i_cur
-        if k - 1 == order:
-            target = i_cur
-        if k - 1 > 0:
-            norm += 2.0 * i_cur
-        # rescale to dodge overflow during the downward sweep
-        if i_lo > 1e250:
-            i_hi /= 1e250
-            i_lo /= 1e250
-            norm /= 1e250
-            target /= 1e250
-    norm += i_lo  # k=0 term counted once
-    if order == 0:
-        target = i_lo
-    return target * math.exp(x) / norm
-
-
 def oam_spectrum(r_c: float, omega_st: float, l_max: int) -> OamSpectrum:
     """Detected OAM spectrum for a lateral displacement r_c:
-    C_l = exp(-r^2/w^2) I_|l|(r^2/w^2)."""
-    if not omega_st > 0:
-        raise ValueError("omega_st must be positive")
+    C_l = exp(-r^2/w^2) I_|l|(r^2/w^2), the one-sample crosstalk_trace."""
     if r_c < 0:
         raise ValueError("r_c must be >= 0")
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-    arg = (r_c / omega_st) ** 2
-    damp = math.exp(-arg)
-    weights = np.empty(2 * l_max + 1)
-    for l in range(l_max + 1):
-        w = damp * bessel_i(l, arg)
-        weights[l_max + l] = w
-        weights[l_max - l] = w
-    return OamSpectrum(l_max=l_max, weights=weights)
+    return OamSpectrum(l_max=l_max, weights=crosstalk_trace(
+        [r_c], [0.0], omega_st, l_max).weights[0])
 
 
 def crosstalk_trace(xs, ys, omega_st: float, l_max: int,
                     sample_period: float = 1.0) -> CrosstalkTrace:
-    """Per-sample OAM spectra along a wander trace, with
-    r_{c,t}^2 = bx_t^2 + by_t^2, plus the normalized radius series."""
+    """OAM mode weights C_l = exp(-a) I_|l|(a), a = r_{c,t}^2/omega_st^2
+    with r_{c,t}^2 = bx_t^2 + by_t^2, at every sample of a wander trace,
+    from one scipy.special.ive call; plus the normalized radius series.
+    scipy.special is imported here so that only crosstalk loads it."""
+    from scipy.special import ive
+    if not omega_st > 0:
+        raise ValueError("omega_st must be positive")
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:
         raise ValueError("xs and ys must have equal length")
-    r = np.sqrt(x**2 + y**2)
-    spectra = [oam_spectrum(float(ri), omega_st, l_max) for ri in r]
-    return CrosstalkTrace(spectra=spectra, r_norm=r / omega_st,
-                          sample_period=sample_period)
+    r_norm = np.sqrt(x**2 + y**2) / omega_st
+    half = ive(np.arange(l_max + 1), r_norm[:, None] ** 2)  # l = 0..l_max
+    return CrosstalkTrace(weights=np.concatenate((half[:, :0:-1], half), axis=1),
+                          r_norm=r_norm, sample_period=sample_period)

@@ -14,7 +14,6 @@ as "above".
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,6 +24,7 @@ import numpy as np
 from . import __version__, arma, channel, ingest, stats, theory
 
 GENERATOR_NAME = arma.GENERATOR_NAME
+FADING_HEADER = ["t_s", "intensity"]
 
 
 def _write_manifest(out_dir: str, command: str, params: dict,
@@ -40,9 +40,7 @@ def _write_manifest(out_dir: str, command: str, params: dict,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_json(path: str, obj) -> None:
@@ -51,47 +49,18 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _write_acf_csv(path: str, result: stats.AcfResult) -> None:
-    _write_csv(path, ["lag", "value", "bound"],
-               [(int(l), float(v), float(result.significance_bound))
-                for l, v in zip(result.lags, result.values)])
+    ingest.write_csv(path, ["lag", "value", "bound"],
+                     [result.lags, result.values,
+                      np.full(result.values.size, float(result.significance_bound))])
 
 
 def _write_rld_csv(path: str, rld: stats.RunLengthDistribution) -> None:
-    rows = [("above", k, rld.above[k]) for k in sorted(rld.above)]
-    rows += [("below", k, rld.below[k]) for k in sorted(rld.below)]
-    _write_csv(path, ["side", "run_length", "count"], rows)
-
-
-def _write_fading_csv(path: str, trace: channel.FadingTrace) -> None:
-    _write_csv(path, ["t_s", "intensity"],
-               [(float(i * trace.sample_period), float(v))
-                for i, v in enumerate(trace.intensities)])
-
-
-def _read_fading_csv(path: str) -> channel.FadingTrace:
-    ts, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t_s", "intensity"]:
-            raise ValueError(f"{path}: expected header 't_s,intensity'")
-        for row in reader:
-            if row:
-                ts.append(float(row[0]))
-                vals.append(float(row[1]))
-    if len(ts) < 2:
-        raise ValueError(f"{path}: need at least two rows")
-    return channel.FadingTrace(intensities=np.asarray(vals),
-                               sample_period=ts[1] - ts[0])
+    above, below = sorted(rld.above), sorted(rld.below)
+    ingest.write_csv(path, ["side", "run_length", "count"],
+                     [["above"] * len(above) + ["below"] * len(below),
+                      above + below,
+                      [rld.above[k] for k in above] + [rld.below[k] for k in below]])
 
 
 def _load_model(path: str) -> arma.ArmaModel:
@@ -122,7 +91,7 @@ def cmd_theory(args, out_dir: str) -> list[str]:
     outputs = []
     if args.format == "csv":
         path = os.path.join(out_dir, "theory.csv")
-        _write_csv(path, ["quantity", "value"], sorted(result.items()))
+        ingest.write_csv(path, ["quantity", "value"], zip(*sorted(result.items())))
     else:
         path = os.path.join(out_dir, "theory.json")
         _write_json(path, result)
@@ -147,7 +116,8 @@ def cmd_simulate(args, out_dir: str) -> list[str]:
     fading = channel.fading_trace(xs, ys, args.omega_st,
                                   sample_period=model.sample_period)
     fading_path = os.path.join(out_dir, "fading.csv")
-    _write_fading_csv(fading_path, fading)
+    ingest.write_csv(fading_path, FADING_HEADER,
+                     [np.arange(args.n) * fading.sample_period, fading.intensities])
     outputs.append(fading_path)
 
     if args.l_max is not None:
@@ -160,13 +130,10 @@ def cmd_simulate(args, out_dir: str) -> list[str]:
 
 
 def _write_crosstalk_csv(path: str, ct: channel.CrosstalkTrace) -> None:
-    l_max = ct.spectra[0].l_max if ct.spectra else 0
-    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
-    rows = []
-    for i, spec in enumerate(ct.spectra):
-        rows.append([float(i * ct.sample_period), float(ct.r_norm[i])]
-                    + [float(w) for w in spec.weights])
-    _write_csv(path, header, rows)
+    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-ct.l_max, ct.l_max + 1)]
+    ingest.write_csv(path, header,
+                     [np.arange(ct.r_norm.size) * ct.sample_period, ct.r_norm,
+                      *ct.weights.T])
 
 
 def cmd_fit(args, out_dir: str) -> list[str]:
@@ -187,11 +154,10 @@ def cmd_fit(args, out_dir: str) -> list[str]:
                                sample_period=trace.sample_period,
                                units=trace.units)
         scan_path = os.path.join(out_dir, "scan.csv")
-        _write_csv(scan_path, ["p", "q", "css", "aic", "bic", "converged",
-                               "stationary", "invertible"],
-                   [(r["p"], r["q"], float(r["css"]), float(r["aic"]),
-                     float(r["bic"]), r["converged"], r["stationary"],
-                     r["invertible"]) for r in scan.rows])
+        header = ["p", "q", "css", "aic", "bic", "converged", "stationary",
+                  "invertible"]
+        ingest.write_csv(scan_path, header,
+                         [[r[k] for r in scan.rows] for k in header])
         outputs.append(scan_path)
         p_sel, q_sel = scan.selected_bic
         report = scan.fits[scan.selected_bic]
@@ -228,8 +194,8 @@ def cmd_fit(args, out_dir: str) -> list[str]:
 
 
 def cmd_analyze(args, out_dir: str) -> list[str]:
-    fading = _read_fading_csv(args.fading)
-    intens = fading.intensities
+    _, (intens,) = ingest.read_series(args.fading, FADING_HEADER)
+    tr = ingest.read_trace(args.trace) if args.trace is not None else None
     threshold = float(np.mean(intens)) if args.threshold == "mean" else float(args.threshold)
     rld = stats.run_length_distribution(intens, threshold)
     rld_path = os.path.join(out_dir, "rld.csv")
@@ -237,9 +203,8 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
 
     edges, density = stats.empirical_pdf(intens, args.bins)
     pdf_path = os.path.join(out_dir, "pdf.csv")
-    _write_csv(pdf_path, ["bin_left", "bin_right", "density"],
-               [(float(edges[i]), float(edges[i + 1]), float(density[i]))
-                for i in range(len(density))])
+    ingest.write_csv(pdf_path, ["bin_left", "bin_right", "density"],
+                     [edges[:-1], edges[1:], density])
 
     summary = {
         "n": int(intens.size),
@@ -253,8 +218,7 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
     positive = intens[(intens > 0) & (intens <= 1)]
     if positive.size >= 10 and np.any(positive < 1):
         summary["gamma_hat"] = channel.estimate_gamma(positive)
-    if args.trace is not None:
-        tr = ingest.read_trace(args.trace)
+    if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)
     summary_path = os.path.join(out_dir, "summary.json")
     _write_json(summary_path, summary)

@@ -1,8 +1,9 @@
 """Raw observations to canonical wander traces.
 
 Weighted-centroid extraction from intensity frames (binary PGM files or a
-CSV-of-frames), mean-centering, and lossless trace CSV I/O with a JSON
-sidecar for units and the sample period.
+CSV-of-frames), mean-centering, lossless trace CSV I/O with a JSON
+sidecar for units and the sample period, and the one CSV writer and
+reader that every file of the package goes through.
 
 Axis convention: x indexes columns, y indexes rows, origin at the center
 of pixel (0, 0).
@@ -10,10 +11,11 @@ of pixel (0, 0).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,68 +128,122 @@ def centroid_trace(frames, sample_period: float,
                                    units=units))
 
 
-def _sidecar_path(path: str) -> str:
-    return path + ".json"
+# rows formatted per write: the text held in memory stays bounded in n
+_BLOCK_ROWS = 1024
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns under a header row.
+
+    Floats are written by repr (the shortest text that parses back to the
+    same double), other values by str, with CRLF line ends: the bytes
+    csv.writer produces for the same header and repr'd rows. Nothing is
+    quoted, so no value may contain a comma, quote or line break. Rows
+    are formatted in blocks of _BLOCK_ROWS.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0]) if cols else 0
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            fields = [map(repr if c.dtype.kind == "f" else str,
+                          c[lo:lo + _BLOCK_ROWS].tolist()) for c in cols]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def _data_lines(path: str):
+    """(line number, fields) of every non-empty line after the first, the
+    lines np.loadtxt reads as rows."""
+    with open(path) as fh:
+        next(fh, None)
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip("\r\n"):
+                yield lineno, line.split(",")
+
+
+def _parse_rows(fh, path: str, ncols: int) -> np.ndarray:
+    """Parse the rest of fh as rows of ncols finite comma-separated
+    numbers, empty lines skipped. Errors name the file and the 1-based
+    line of the first bad row; an empty body gives zero rows."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        pass  # the scan below names the line
+    else:
+        if data.shape[0] == 0:
+            return np.empty((0, ncols))
+        if data.shape[1] == ncols and np.isfinite(data).all():
+            return data
+    # the slow path runs only on a bad file, to find its first bad line
+    for lineno, fields in _data_lines(path):
+        if len(fields) != ncols:
+            raise ValueError(f"{path}: line {lineno}: {len(fields)} values, "
+                             f"expected {ncols}")
+        try:
+            finite = all(math.isfinite(float(v)) for v in fields)
+        except ValueError:
+            raise ValueError(f"{path}: malformed row at line {lineno}") from None
+        if not finite:
+            raise ValueError(f"{path}: non-finite value at line {lineno}")
+    raise ValueError(f"{path}: rows are not {ncols} comma-separated numbers")
+
+
+def read_csv(path: str, header: list[str]) -> np.ndarray:
+    """Rows x columns of a numeric CSV whose first line is `header`.
+    Every value must be finite; errors name the file and the line."""
+    with open(path) as fh:
+        got = [h.strip() for h in fh.readline().split(",")]
+        if got != header:
+            raise ValueError(f"{path}: expected header '{','.join(header)}'")
+        return _parse_rows(fh, path, len(header))
+
+
+def read_series(path: str, header: list[str]) -> tuple[float, np.ndarray]:
+    """Uniform time series from a CSV whose first column is `t_s`.
+
+    Timestamps must be strictly increasing with every step equal to the
+    first to 1e-6 relative tolerance. Returns the sample period and the
+    value columns, one contiguous row each.
+    """
+    data = read_csv(path, header)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path}: need at least two rows")
+    steps = np.diff(data[:, 0])
+    dt = float(steps[0])
+    bad = np.flatnonzero((steps <= 0) | ~(
+        np.abs(steps - dt) <= _SPACING_RTOL * np.maximum(np.abs(steps), abs(dt))))
+    if bad.size:
+        row = int(bad[0]) + 2  # 1-based data row ending the bad step
+        lineno = next(itertools.islice(_data_lines(path), row - 1, None))[0]
+        raise ValueError(f"{path}: non-uniform or non-increasing sample "
+                         f"spacing at data row {row} (line {lineno})")
+    return dt, np.ascontiguousarray(data[:, 1:].T)
 
 
 def write_trace(trace: WanderTrace, path: str) -> None:
     """Write `t_s,x,y` CSV at full round-trip precision plus a JSON sidecar
     with units and the sample period."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for i in range(len(trace)):
-            t = i * trace.sample_period
-            writer.writerow([repr(t), repr(float(trace.xs[i])),
-                             repr(float(trace.ys[i]))])
+    write_csv(path, TRACE_HEADER,
+              [np.arange(len(trace)) * trace.sample_period, trace.xs, trace.ys])
     sidecar = {"units": trace.units, "sample_period_s": trace.sample_period}
     sidecar.update(trace.meta)
-    with open(_sidecar_path(path), "w") as fh:
+    with open(path + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 
 
 def read_trace(path: str) -> WanderTrace:
-    """Read a `t_s,x,y` CSV; timestamps must be strictly increasing with
-    uniform spacing to 1e-6 relative tolerance."""
-    ts, xs, ys = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TRACE_HEADER:
-            raise ValueError(f"{path}: expected header '{','.join(TRACE_HEADER)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            try:
-                t, x, y = (float(v) for v in row)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed row at line {lineno}") from exc
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-    if len(ts) < 2:
-        raise ValueError(f"{path}: need at least two rows")
-    dt = ts[1] - ts[0]
-    if dt <= 0:
-        raise ValueError(f"{path}: timestamps not increasing at row 2")
-    for i in range(1, len(ts)):
-        step = ts[i] - ts[i - 1]
-        if step <= 0 or not math.isclose(step, dt, rel_tol=_SPACING_RTOL):
-            raise ValueError(f"{path}: non-uniform sample spacing at data row {i + 1}")
-    units = ""
+    """Read a `t_s,x,y` CSV (see read_series) and its optional sidecar."""
+    dt, (xs, ys) = read_series(path, TRACE_HEADER)
     meta = {}
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            data = json.load(fh)
-        units = data.pop("units", "")
-        data.pop("sample_period_s", None)
-        meta = data
-    return WanderTrace(xs=np.asarray(xs), ys=np.asarray(ys), sample_period=dt,
-                       units=units, meta=meta)
+    if os.path.exists(path + ".json"):
+        with open(path + ".json") as fh:
+            meta = json.load(fh)
+    meta.pop("sample_period_s", None)
+    return WanderTrace(xs=xs, ys=ys, sample_period=dt,
+                       units=meta.pop("units", ""), meta=meta)
 
 
 def read_pgm(path: str, pixel_pitch: float | None = None) -> IntensityGrid:
@@ -224,26 +280,17 @@ def read_pgm(path: str, pixel_pitch: float | None = None) -> IntensityGrid:
 
 def read_frames_csv(path: str, pixel_pitch: float | None = None) -> list[IntensityGrid]:
     """Read a CSV-of-frames: first line `rows,cols`, then one flattened
-    row-major frame per line."""
-    frames = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'rows,cols'")
-        rows, cols = int(header[0]), int(header[1])
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            vals = np.asarray([float(v) for v in row])
-            if vals.size != rows * cols:
-                raise ValueError(f"{path}: frame at line {lineno} has "
-                                 f"{vals.size} values, expected {rows * cols}")
-            frames.append(IntensityGrid(values=vals.reshape(rows, cols),
-                                        pixel_pitch=pixel_pitch))
-    if not frames:
+    row-major frame of rows*cols values per line."""
+    with open(path) as fh:
+        try:
+            rows, cols = (int(v) for v in fh.readline().split(","))
+        except ValueError:
+            raise ValueError(f"{path}: first line must be 'rows,cols'") from None
+        data = _parse_rows(fh, path, rows * cols)
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: no frames found")
-    return frames
+    return [IntensityGrid(values=frame, pixel_pitch=pixel_pitch)
+            for frame in data.reshape(-1, rows, cols)]
 
 
 def load_frames(path: str, pixel_pitch: float | None = None) -> list[IntensityGrid]:

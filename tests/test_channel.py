@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamwander import arma, channel, stats
-from beamwander.channel import (bessel_i, crosstalk_trace, estimate_gamma,
+from beamwander.channel import (crosstalk_trace, estimate_gamma,
                                 fading_trace, intensity_from_offsets,
                                 memoryless_sample, oam_spectrum)
 
@@ -15,6 +15,7 @@ TABLE_MODEL = arma.ArmaModel(c=0.0, ar=[1.759, -0.7626], ma=[-1.289, 0.3166],
 OMEGA_GAMMA07 = math.sqrt(4 * 0.7 * arma.stationary_variance(TABLE_MODEL))
 
 # 30-term extended-precision series values (mpmath, 40 digits)
+# of the modified Bessel function I_n(x)
 BESSEL_ORACLE = {
     (0, 1.0): 1.2660658777520083,
     (3, 7.5): 142.06144236359168,
@@ -22,6 +23,12 @@ BESSEL_ORACLE = {
     (64, 50.0): 19178.74915910336,
     (0, 50.0): 2.9325537838493362e20,
 }
+
+
+def bessel_i(order, x):
+    """I_order(x) from the crosstalk kernel: the weight
+    C_order = e^-x I_order(x) at r_c = sqrt(x), omega_st = 1, times e^x."""
+    return oam_spectrum(math.sqrt(x), 1.0, order).weight(order) * math.exp(x)
 
 
 def ks_statistic(samples, cdf):
@@ -133,7 +140,7 @@ class TestEstimateGamma:
             estimate_gamma([0.5] * 5)
 
 
-class TestBesselI:
+class TestModeWeightKernel:
     def test_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
         for n in (1, 2, 10):
@@ -145,14 +152,16 @@ class TestBesselI:
 
     @pytest.mark.parametrize("x", [0.5, 2.0, 14.9, 15.1, 30.0, 50.0])
     def test_generating_function_identity(self, x):
-        total = bessel_i(0, x) + 2 * sum(bessel_i(n, x) for n in range(1, 80))
+        # I_0 + 2 sum_{n>=1} I_n = e^x; the kernel's row holds I_|l| e^-x
+        weights = oam_spectrum(math.sqrt(x), 1.0, 79).weights
+        total = float(weights.sum()) * math.exp(x)
         assert total == pytest.approx(math.exp(x), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_i(-1, 1.0)
         with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
+            oam_spectrum(-1.0, 1.0, 0)
 
 
 class TestOamSpectrum:
@@ -193,9 +202,10 @@ class TestOamSpectrum:
 class TestCrosstalkTrace:
     def test_zero_offsets(self):
         ct = crosstalk_trace(np.zeros(5), np.zeros(5), 1.0, 3)
-        for spec in ct.spectra:
-            assert spec.weight(0) == 1.0
-            assert np.all(spec.weights[:3] == 0) and np.all(spec.weights[4:] == 0)
+        assert ct.weights.shape == (5, 7)
+        for row in ct.weights:
+            assert row[3] == 1.0
+            assert np.all(row[:3] == 0) and np.all(row[4:] == 0)
         assert np.all(ct.r_norm == 0.0)
 
     def test_c0_self_consistency(self):
@@ -203,10 +213,10 @@ class TestCrosstalkTrace:
         xs, ys = rng.normal(scale=0.5, size=(2, 50))
         w = 1.2
         ct = crosstalk_trace(xs, ys, w, 4)
-        for i, spec in enumerate(ct.spectra):
+        for i, row in enumerate(ct.weights):
             arg = (xs[i] ** 2 + ys[i] ** 2) / w**2
-            direct = math.exp(-arg) * bessel_i(0, arg)
-            assert spec.weight(0) == pytest.approx(direct, rel=1e-12)
+            direct = math.exp(-arg) * float(np.i0(arg))  # numpy's own I_0
+            assert row[4] == pytest.approx(direct, rel=1e-12)
 
     def test_temporal_memory(self):
         xs = arma.simulate(TABLE_MODEL, 3000, seed=30)

@@ -164,6 +164,29 @@ class TestAnalyze:
         assert "gamma_hat" not in summary  # only 6 samples
         assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
 
+    def rejected_at_line(self, tmp_path, capsys, rows, line):
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(f"{r}\n" for r in rows))
+        code, out = run(tmp_path, "analyze", "--fading", str(fading))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(fading) in err[0] and f"line {line}" in err[0]
+        assert list(out.iterdir()) == []  # rejected before anything is written
+
+    def test_spacing_gap_rejected(self, tmp_path, capsys):
+        times = [0.0, 0.01, 0.02, 0.03, 0.04, 0.53, 0.54]
+        self.rejected_at_line(tmp_path, capsys,
+                              [f"{t},0.5" for t in times], line=7)
+
+    def test_short_row_rejected(self, tmp_path, capsys):
+        self.rejected_at_line(tmp_path, capsys,
+                              ["0.0,0.5", "0.01,0.6", "0.02", "0.03,0.4"], line=4)
+
+    def test_nan_intensity_rejected(self, tmp_path, capsys):
+        self.rejected_at_line(tmp_path, capsys,
+                              ["0.0,0.5", "0.01,nan", "0.02,0.6"], line=3)
+
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
                      "--n", "20000", "--omega-st", "105.21191045333147",

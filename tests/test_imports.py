@@ -1,0 +1,73 @@
+"""Start-up cost: only commands that filter may import scipy.
+
+Importing scipy.signal takes longer than most commands' own work, so
+`import beamwander.cli` loads no scipy module, theory, analyze and ingest
+run without one, and crosstalk loads scipy.special alone.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import beamwander
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
+
+# Runs the commands in order in one fresh interpreter and records, after
+# the import and after each command, which scipy modules are loaded.
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from beamwander.cli import main
+loaded = {"import": scipy_modules()}
+d = sys.argv[1]
+with open(d + "/fading.csv", "w") as fh:
+    fh.write("t_s,intensity\n" + "".join(f"{i * 0.01},{0.5 + 0.01 * (i % 7)}\n"
+                                         for i in range(50)))
+with open(d + "/trace.csv", "w") as fh:
+    fh.write("t_s,x,y\n" + "".join(f"{i * 0.01},{i % 5},{i % 3}\n" for i in range(50)))
+with open(d + "/frames.csv", "w") as fh:
+    fh.write("2,2\n" + "".join(f"{i % 3 + 1},1,1,1\n" for i in range(20)))
+steps = {
+    "theory": ["theory", "--cn2", "1e-14", "--L", "1000", "--omega0", "0.02"],
+    "analyze": ["analyze", "--fading", d + "/fading.csv", "--trace", d + "/trace.csv"],
+    "ingest": ["ingest", "--frames", d + "/frames.csv", "--fps", "100"],
+    "crosstalk": ["crosstalk", "--trace", d + "/trace.csv", "--omega-st", "3.0"],
+}
+for name, argv in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--out-dir", d + "/" + name, *argv])
+    loaded[name] = scipy_modules() if code == 0 else f"exit {code}"
+with open(d + "/loaded.json", "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    d = tmp_path_factory.mktemp("imports")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", SCRIPT, str(d)], env=env, check=True,
+                   timeout=120)
+    return json.loads((d / "loaded.json").read_text())
+
+
+def test_cli_import_loads_no_scipy(loaded):
+    assert loaded["import"] == []
+
+
+@pytest.mark.parametrize("command", ["theory", "analyze", "ingest"])
+def test_command_loads_no_scipy(loaded, command):
+    assert loaded[command] == []
+
+
+def test_crosstalk_loads_special_not_signal(loaded):
+    assert "scipy.special" in loaded["crosstalk"]
+    assert "scipy.signal" not in loaded["crosstalk"]

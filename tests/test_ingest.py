@@ -1,13 +1,18 @@
+import csv
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamwander import arma, ingest, stats
 from beamwander.ingest import (IntensityGrid, WanderTrace, centroid_trace,
-                               load_frames, mean_center, read_frames_csv,
-                               read_pgm, read_trace, weighted_centroid,
-                               write_trace)
+                               load_frames, mean_center, read_csv,
+                               read_frames_csv, read_pgm, read_trace,
+                               weighted_centroid, write_csv, write_trace)
 
 
 def gaussian_frame(cx, cy, shape=(48, 48), sigma=3.0, amp=1000.0):
@@ -180,6 +185,19 @@ class TestFrameFiles:
         assert weighted_centroid(frames[0]) == (0.0, 0.0)
         assert weighted_centroid(frames[1]) == (1.0, 1.0)
 
+    def test_frames_csv_ragged_line_named(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("2,2\n1,0,0,0\n0,0,1\n1,0,0,0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_frames_csv(str(path))
+
+    def test_frames_csv_bad_shape_line_named(self, tmp_path):
+        for first in ("a,b", "2", "2,2,2"):
+            path = tmp_path / "frames.csv"
+            path.write_text(f"{first}\n1,0,0,0\n")
+            with pytest.raises(ValueError, match="frames.csv: first line"):
+                read_frames_csv(str(path))
+
     def test_load_frames_directory(self, tmp_path):
         for i in range(3):
             with open(tmp_path / f"fr{i}.pgm", "wb") as fh:
@@ -198,3 +216,54 @@ class TestFrameFiles:
         tr = centroid_trace(frames, 1 / 300)
         rep = arma.fit_css(tr.xs, 1, 0, sample_period=tr.sample_period)
         assert rep.converged
+
+
+def reference_csv(path, header, columns):
+    """The per-row csv.writer + repr formatting that write_csv reproduces."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+@st.composite
+def float_tables(draw):
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 4)))
+    finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    return draw(hnp.arrays(np.float64, shape, elements=finite))
+
+
+class TestCsvIO:
+    @settings(max_examples=200, deadline=None)
+    @given(table=float_tables())
+    @example(table=np.array([[5e-324, -0.0], [0.0, 1e308], [-1e308, -2.5e-310]]))
+    def test_float_round_trip_bitwise(self, table):
+        header = [f"c{i}" for i in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as d:
+            path, ref = f"{d}/t.csv", f"{d}/ref.csv"
+            write_csv(path, header, list(table.T))
+            reference_csv(ref, header, [c.tolist() for c in table.T])
+            with open(path, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
+            back = read_csv(path, header)
+        assert back.view(np.int64).tolist() == table.view(np.int64).tolist()
+
+    def test_mixed_columns_across_blocks(self, tmp_path):
+        # more rows than one formatting block, with str, int and bool columns
+        rng = np.random.default_rng(9)
+        n = 2 * ingest._BLOCK_ROWS + 3
+        columns = [["above", "below"] * (n // 2) + ["above"],
+                   rng.integers(-10**12, 10**12, n).tolist(),
+                   (rng.random(n) < 0.5).tolist(),
+                   (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()]
+        header = ["side", "k", "flag", "value"]
+        write_csv(str(tmp_path / "t.csv"), header, columns)
+        reference_csv(str(tmp_path / "ref.csv"), header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_non_finite_value_line_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_s,x,y\n0.0,1,2\n\n0.01,1,inf\n")
+        with pytest.raises(ValueError, match="line 4"):
+            read_trace(str(path))
