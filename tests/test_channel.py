@@ -140,7 +140,7 @@ class TestEstimateGamma:
             estimate_gamma([0.5] * 5)
 
 
-class TestModeWeightKernel:
+class TestBesselI:
     def test_at_zero(self):
         assert bessel_i(0, 0.0) == 1.0
         for n in (1, 2, 10):
