@@ -13,10 +13,9 @@ diagnostics.
 
 from __future__ import annotations
 
-import importlib
+import functools
 import json
 import math
-import sys
 from dataclasses import dataclass, field, asdict
 from statistics import NormalDist
 
@@ -33,10 +32,9 @@ GENERATOR_NAME = "numpy.random.PCG64"
 
 def lfilter(b, a, x) -> np.ndarray:
     """scipy.signal.lfilter, imported on first use: the import takes over
-    a second, which commands that never filter should not pay. After that
-    a call costs one sys.modules lookup (an order scan makes thousands)."""
-    signal = sys.modules.get("scipy.signal") or importlib.import_module("scipy.signal")
-    return signal.lfilter(b, a, x)
+    a second, which commands that never filter should not pay."""
+    import scipy.signal
+    return scipy.signal.lfilter(b, a, x)
 
 
 class FitConvergenceError(RuntimeError):
@@ -277,11 +275,12 @@ def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A.T @ A, A.T @ y, rcond=None)[0]
 
 
-def _long_ar_innovations(x: np.ndarray) -> np.ndarray | None:
-    """First Hannan-Rissanen stage: residuals of a long AR(m) regression
-    with intercept, m = min(20, n // 10) (at least 1), zero for t < m;
-    None when the regression is singular. It depends on the series alone,
-    so one array serves every (p, q) fitted to it."""
+def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
+    residuals of a long AR(m) regression with intercept, m = min(20, n // 10)
+    (at least 1), zero for t < m, or None when the regression is singular.
+    It depends on the series alone, so one result serves every (p, q)
+    fitted to it."""
     n = x.size
     m = max(min(20, n // 10), 1)
     A = np.empty((n - m, m + 1), order="F")
@@ -291,26 +290,29 @@ def _long_ar_innovations(x: np.ndarray) -> np.ndarray | None:
     try:
         coef = _ols(A, x[m:])
     except np.linalg.LinAlgError:
-        return None
+        return m, None
     eps_hat = np.zeros(n)
     eps_hat[m:] = x[m:] - A @ coef
-    return eps_hat
+    return m, eps_hat
 
 
 def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool,
-                     eps_hat: np.ndarray | None) -> np.ndarray:
+                     long_ar: tuple[int, np.ndarray | None]) -> np.ndarray:
     """Two-stage initial estimate: OLS of x on its own lags and the lags of
-    the long-AR innovation proxies eps_hat (`_long_ar_innovations`),
-    solved through the normal equations. Falls back to zeros (c to the
-    sample mean) if either regression is singular."""
+    the long-AR innovation proxies (`_long_ar`), solved through the normal
+    equations. Falls back to zeros (c to the sample mean) if either
+    regression is singular."""
     n = x.size
     k = (1 if estimate_c else 0) + p + q
     fallback = np.zeros(k)
     if estimate_c:
         fallback[0] = x.mean()
-    if p + q == 0 or eps_hat is None:
+    if p + q == 0:
         return fallback
-    start = max(min(20, n // 10), 1) + max(p, q)
+    m, eps_hat = long_ar
+    if eps_hat is None:
+        return fallback
+    start = m + max(p, q)
     rows = n - start
     if rows <= k:
         return fallback
@@ -417,25 +419,24 @@ def _common_factor_starts(nested: np.ndarray, p: int, q: int,
 
 
 def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
-              tol: float, eps_hat: np.ndarray | None, start_params=None,
-              nested=None):
+              tol: float, long_ar, start_params=None, nested=None):
     """Lowest-CSS Gauss-Newton end point over the deterministic start set.
 
-    Starts, in order: Hannan-Rissanen from the long-AR innovations eps_hat
-    (zeros when its CSS is not finite), start_params, and for p, q >= 1
-    the common-factor extensions of the (p-1, q-1) parameter vector
-    `nested`, which is fitted here when not given. Starts with non-finite
-    CSS are skipped; on ties the earlier start wins. Returns (params, css,
+    Starts, in order: Hannan-Rissanen from the first stage long_ar (zeros
+    when its CSS is not finite), start_params, and for p, q >= 1 the
+    common-factor extensions of the (p-1, q-1) parameter vector `nested`,
+    which is fitted here when not given. Starts with non-finite CSS are
+    skipped; on ties the earlier start wins. Returns (params, css,
     iterations, converged), iterations being the most any start took.
     """
-    hr = _hannan_rissanen(x, p, q, estimate_c, eps_hat)
+    hr = _hannan_rissanen(x, p, q, estimate_c, long_ar)
     if not np.isfinite(_css(hr, x, p, q, estimate_c)[0]):
         hr = np.zeros_like(hr)
     extra = [] if start_params is None else [start_params]
     if p > 0 and q > 0:
         if nested is None:
             nested = _minimize(x, p - 1, q - 1, estimate_c, max_iter, tol,
-                               eps_hat)[0]
+                               long_ar)[0]
         extra += _common_factor_starts(nested, p, q, estimate_c)
     starts = [hr] + [s for s in extra
                      if np.isfinite(_css(s, x, p, q, estimate_c)[0])]
@@ -449,6 +450,9 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
     return params, css, iterations, converged
 
 
+_MAX_ITER, _TOL = 500, 1e-10  # fit_css defaults, also used by order_scan
+
+
 def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarray:
     """Parameter vector of a fitted model, zero-padded to (p, q)."""
     m = report.model
@@ -459,9 +463,8 @@ def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarra
 
 def fit_css(series, p: int, q: int, estimate_c: bool = True,
             sample_period: float = 1.0, units: str = "",
-            max_iter: int = 500, tol: float = 1e-10,
-            start_params=None, nested: FitReport | None = None,
-            innovations: np.ndarray | None = None) -> FitReport:
+            max_iter: int = _MAX_ITER, tol: float = _TOL,
+            start_params=None, nested: FitReport | None = None) -> FitReport:
     """Conditional-least-squares ARMA fit.
 
     Minimizes the conditional sum of squared innovations (zero pre-sample
@@ -480,10 +483,6 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
       supplied (a (p-1, q-1) FitReport of the same series and
       estimate_c), else fitted here the same way.
 
-    `innovations` is the long-AR first stage of Hannan-Rissanen for this
-    series, computed here when not given; it depends on the series alone,
-    so order_scan computes it once for the whole grid.
-
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
     the Hannan-Rissanen start alone often ends in a local minimum whose
     roots all lie far from the unit circle; the common-factor starts
@@ -499,6 +498,16 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     returned with stationary=False, never silently.
     """
     x = np.asarray(series, dtype=float)
+    return _fit_css(x, p, q, estimate_c, sample_period, units, max_iter, tol,
+                    start_params, nested, functools.partial(_long_ar, x))
+
+
+def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
+             sample_period: float, units: str, max_iter: int, tol: float,
+             start_params, nested: FitReport | None, long_ar) -> FitReport:
+    """fit_css on a float array. long_ar() gives the series' first
+    Hannan-Rissanen stage (`_long_ar`); it is called once the series has
+    passed its checks, and only when p + q > 0."""
     n = x.size
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
@@ -514,10 +523,9 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
         if (nested.model.p, nested.model.q) != (p - 1, q - 1):
             raise ValueError(f"nested must be a ({p - 1}, {q - 1}) fit")
         nested = _pad_start(nested, p - 1, q - 1, estimate_c)
-    if innovations is None and p + q > 0:
-        innovations = _long_ar_innovations(x)
     params, css, iterations, converged = _minimize(
-        x, p, q, estimate_c, max_iter, tol, innovations, start_params, nested)
+        x, p, q, estimate_c, max_iter, tol, long_ar() if p + q > 0 else None,
+        start_params, nested)
 
     c, ar, ma = _unpack(params, p, q, estimate_c)
     dof = n - p - q - 1
@@ -567,8 +575,7 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
     x = np.asarray(series, dtype=float)
-    innovations = (_long_ar_innovations(x)
-                   if x.size > 0 and np.all(np.isfinite(x)) else None)
+    long_ar = functools.cache(functools.partial(_long_ar, x))  # once per grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
     for p in range(p_max + 1):
@@ -583,11 +590,9 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
                                    fitted[prev].css))
             start = min(starts, key=lambda t: t[1])[0] if starts else None
             try:
-                rep = fit_css(x, p, q, estimate_c=estimate_c,
-                              sample_period=sample_period, units=units,
-                              start_params=start,
-                              nested=fitted.get((p - 1, q - 1)),
-                              innovations=innovations)
+                rep = _fit_css(x, p, q, estimate_c, sample_period, units,
+                               _MAX_ITER, _TOL, start, fitted.get((p - 1, q - 1)),
+                               long_ar)
                 fitted[(p, q)] = rep
                 row.update(converged=rep.converged, stationary=rep.stationary,
                            invertible=rep.invertible, aic=rep.aic,
