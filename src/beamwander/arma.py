@@ -279,8 +279,7 @@ def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
     residuals of a long AR(m) regression with intercept, m = min(20, n // 10)
     (at least 1), zero for t < m, or None when the regression is singular.
-    It depends on the series alone, so one result serves every (p, q)
-    fitted to it."""
+    It depends on the series alone: one result serves every (p, q)."""
     n = x.size
     m = max(min(20, n // 10), 1)
     A = np.empty((n - m, m + 1), order="F")
@@ -402,6 +401,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
 # often misses; a != m keeps each start off the redundant manifold a = m,
 # where J'J is singular.
 _COMMON_FACTORS = ((0.99, 0.97), (0.9, 0.8))
+_MAX_ITER, _TOL = 500, 1e-10  # fit_css's defaults, also order_scan's
 
 
 def _common_factor_starts(nested: np.ndarray, p: int, q: int,
@@ -448,9 +448,6 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
         if cc < css:
             params, css, converged = pp, cc, conv
     return params, css, iterations, converged
-
-
-_MAX_ITER, _TOL = 500, 1e-10  # fit_css defaults, also used by order_scan
 
 
 def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarray:
@@ -505,9 +502,8 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
 def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
              sample_period: float, units: str, max_iter: int, tol: float,
              start_params, nested: FitReport | None, long_ar) -> FitReport:
-    """fit_css on a float array. long_ar() gives the series' first
-    Hannan-Rissanen stage (`_long_ar`); it is called once the series has
-    passed its checks, and only when p + q > 0."""
+    """fit_css on a float array. long_ar() gives the series' `_long_ar`
+    stage; it is called after the checks, and only when p + q > 0."""
     n = x.size
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
