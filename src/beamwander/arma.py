@@ -27,14 +27,47 @@ GENERATOR_NAME = "numpy.random.PCG64"
 
 # Innovations for simulate() are drawn as
 #   np.random.default_rng(seed).normal(0, sqrt(sigma2), n + burn_in)
-# which makes the stream reproducible outside this module.
+# and filtered by _recurse, which equals scipy.signal.lfilter(theta, phi, .)
+# bit for bit, so the series is reproducible outside this module.
 
 
 def lfilter(b, a, x) -> np.ndarray:
-    """scipy.signal.lfilter, imported on first use: the import takes over
-    a second, which commands that never filter should not pay."""
+    """The fit's filter: scipy.signal.lfilter, imported on first use. A fit
+    makes thousands of passes, which need scipy's compiled loop; the import
+    takes over a second, which commands that never fit should not pay."""
     import scipy.signal
     return scipy.signal.lfilter(b, a, x)
+
+
+def _recurse(b, a, x) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x) without scipy, equal to it bit for bit:
+    the same arithmetic in the same order. One pass per series (simulate,
+    stationary_variance) does not need the compiled loop or its import.
+
+    With a single denominator term scipy convolves (its FIR path), which a
+    recursion would miss in the last bit for some models. Otherwise this is
+    scipy's direct form II transposed over Python floats (no fused
+    multiply-add); the last delay has no `+ 0.0`, so signed zeros match.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float) / a[0]
+    a = a / a[0]
+    if a.size == 1:
+        return np.convolve(b, x)[:len(x)]
+    k = max(a.size, b.size)
+    b = np.pad(b, (0, k - b.size)).tolist()
+    a = np.pad(a, (0, k - a.size)).tolist()
+    b0, b_last, a_last = b[0], b[-1], a[-1]
+    middle = range(1, k - 1)
+    z = [0.0] * (k - 1)
+    out = []
+    for xn in np.asarray(x, dtype=float).tolist():
+        y = z[0] + b0 * xn
+        for i in middle:
+            z[i - 1] = z[i] + xn * b[i] - y * a[i]
+        z[-1] = xn * b_last - y * a_last
+        out.append(y)
+    return np.array(out)
 
 
 class FitConvergenceError(RuntimeError):
@@ -179,7 +212,8 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
 
     The recursion starts from zero initial conditions; the first burn_in
     samples (default max(200, 50(p+q+1))) are discarded. Identical
-    (model, n, seed, burn_in) yield identical output.
+    (model, n, seed, burn_in) yield identical output, equal bit for bit to
+    scipy.signal.lfilter(theta, phi, innovations)[burn_in:] plus the c term.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -196,9 +230,9 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
     eps = rng.normal(0.0, math.sqrt(model.sigma2), n + burn_in)
     phi = model.ar_poly()
     theta = model.ma_poly()
-    x = lfilter(theta, phi, eps)
+    x = _recurse(theta, phi, eps)
     if model.c != 0.0:
-        x = x + lfilter([1.0], phi, np.full(n + burn_in, model.c))
+        x = x + _recurse([1.0], phi, np.full(n + burn_in, model.c))
     return x[burn_in:]
 
 
@@ -666,5 +700,5 @@ def stationary_variance(model: ArmaModel, n_terms: int = 20000) -> float:
         raise ValueError("model is not stationary")
     impulse = np.zeros(n_terms)
     impulse[0] = 1.0
-    psi = lfilter(model.ma_poly(), model.ar_poly(), impulse)
+    psi = _recurse(model.ma_poly(), model.ar_poly(), impulse)
     return float(model.sigma2 * np.dot(psi, psi))

@@ -243,8 +243,7 @@ def cmd_compare(args, out_dir: str) -> list[str]:
     if args.seeds <= 0:
         raise ValueError("seeds must be positive")
     per_seed = []
-    pooled_arma = stats.RunLengthDistribution(threshold=float("nan"))
-    pooled_mem = stats.RunLengthDistribution(threshold=float("nan"))
+    rlds_arma, rlds_mem = [], []
     arma_wins = 0
     stream_seeds = _axis_seeds(args.seed, 3 * args.seeds)
     for i in range(args.seeds):
@@ -259,15 +258,14 @@ def cmd_compare(args, out_dir: str) -> list[str]:
             fad.intensities, float(np.mean(fad.intensities)))
         rld_m = stats.run_length_distribution(
             mem.intensities, float(np.mean(mem.intensities)))
-        for side in ("above", "below"):
-            for src, dst in ((rld_a, pooled_arma), (rld_m, pooled_mem)):
-                d = getattr(dst, side)
-                for k, v in getattr(src, side).items():
-                    d[k] = d.get(k, 0) + v
+        rlds_arma.append(rld_a)
+        rlds_mem.append(rld_m)
         max_a, max_m = rld_a.max_run_length(), rld_m.max_run_length()
         arma_wins += int(max_a > max_m)
         per_seed.append({"seed_index": i, "arma_max_run": max_a,
                          "memoryless_max_run": max_m})
+    pooled_arma = stats.pool_run_lengths(rlds_arma)
+    pooled_mem = stats.pool_run_lengths(rlds_mem)
     tail = args.tail_length
     comparison = {
         "n": args.n, "seeds": args.seeds, "gamma": args.gamma,

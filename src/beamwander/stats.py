@@ -7,6 +7,7 @@ scintillation index and normalized empirical PDFs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,21 +119,26 @@ def run_length_distribution(series, threshold: float) -> RunLengthDistribution:
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be non-empty")
+    above = x >= threshold
+    starts = np.concatenate(([0], np.flatnonzero(above[1:] != above[:-1]) + 1))
+    lengths = np.diff(starts, append=x.size)
     rld = RunLengthDistribution(threshold=float(threshold))
-    state = bool(x[0] >= threshold)
-    length = 0
-    for v in x:
-        above = bool(v >= threshold)
-        if above == state:
-            length += 1
-        else:
-            side = rld.above if state else rld.below
-            side[length] = side.get(length, 0) + 1
-            state = above
-            length = 1
-    side = rld.above if state else rld.below
-    side[length] = side.get(length, 0) + 1
+    for side, runs in ((rld.above, lengths[above[starts]]),
+                       (rld.below, lengths[~above[starts]])):
+        values, counts = np.unique(runs, return_counts=True)
+        side.update(zip(values.tolist(), counts.tolist()))
     return rld
+
+
+def pool_run_lengths(rlds) -> RunLengthDistribution:
+    """Sum the per-side counts of several distributions. The inputs may
+    have different thresholds, so the pooled threshold is NaN."""
+    above, below = Counter(), Counter()
+    for rld in rlds:
+        above.update(rld.above)
+        below.update(rld.below)
+    return RunLengthDistribution(threshold=float("nan"), above=dict(above),
+                                 below=dict(below))
 
 
 def scintillation_index(intensities) -> float:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from beamwander import arma, stats
 from beamwander.arma import (ArmaModel, chi2_quantile, diagnose_residuals,
@@ -99,6 +102,106 @@ class TestSimulate:
         model = ArmaModel(c=1.0, ar=[0.5], ma=[], sigma2=0.01)
         x = simulate(model, 200_000, seed=9)
         assert float(x.mean()) == pytest.approx(1.0 / (1 - 0.5), rel=0.01)
+
+
+def stable_poly(rng, degree):
+    """Ascending coefficients of 1 + a_1 z + ... + a_d z^d, every root of
+    modulus in [1.1, 3]: real roots and complex-conjugate pairs."""
+    poly = np.array([1.0])
+    while poly.size <= degree:
+        m = rng.uniform(1.1, 3.0)
+        if degree - (poly.size - 1) >= 2 and rng.random() < 0.5:
+            angle = rng.uniform(0.0, math.pi)
+            factor = [1.0, -2.0 * math.cos(angle) / m, 1.0 / m**2]
+        else:
+            factor = [1.0, rng.choice([-1.0, 1.0]) / m]
+        poly = np.convolve(poly, factor)
+    return poly
+
+
+def random_model(p, q, c):
+    rng = np.random.default_rng([p, q])
+    return ArmaModel(c=c, ar=list(-stable_poly(rng, p)[1:]),
+                     ma=list(stable_poly(rng, q)[1:]),
+                     sigma2=float(rng.uniform(0.5, 3000.0)))
+
+
+def lfilter_reference(model, n, seed, burn_in):
+    """The RNG contract computed with scipy: PCG64 innovations through
+    scipy.signal.lfilter(theta, phi, .), plus the constant term."""
+    eps = np.random.default_rng(seed).normal(0.0, math.sqrt(model.sigma2),
+                                             n + burn_in)
+    x = lfilter(model.ma_poly(), model.ar_poly(), eps)
+    if model.c != 0.0:
+        x = x + lfilter([1.0], model.ar_poly(), np.full(n + burn_in, model.c))
+    return x[burn_in:]
+
+
+ORDERS = [(p, q) for p in range(6) for q in range(6)]
+
+
+class TestSimulateExact:
+    """simulate filters without scipy, yet equals scipy.signal.lfilter bit
+    for bit: the series is reproducible from the documented contract."""
+
+    @pytest.mark.parametrize("c", [0.0, -2.5])
+    @pytest.mark.parametrize("p,q", ORDERS)
+    def test_equals_lfilter(self, p, q, c):
+        model = random_model(p, q, c)
+        for n in (1, 3000):
+            for burn_in in (0, None):
+                seed = 1000 * p + 100 * q + n
+                expect = lfilter_reference(
+                    model, n, seed,
+                    arma.default_burn_in(p, q) if burn_in is None else 0)
+                assert np.array_equal(simulate(model, n, seed, burn_in), expect)
+
+    def test_reference_model_long(self):
+        expect = lfilter_reference(TABLE_MODEL, 100_000, 28,
+                                   arma.default_burn_in(2, 2))
+        assert np.array_equal(simulate(TABLE_MODEL, 100_000, 28), expect)
+
+    @pytest.mark.parametrize("p,q", ORDERS)
+    def test_stationary_variance_equals_lfilter(self, p, q):
+        model = random_model(p, q, 0.0)
+        impulse = np.zeros(20000)
+        impulse[0] = 1.0
+        psi = lfilter(model.ma_poly(), model.ar_poly(), impulse)
+        assert stationary_variance(model) == float(model.sigma2 * np.dot(psi, psi))
+
+
+@st.composite
+def root_polys(draw, max_factors=2):
+    """1 + a_1 z + ... from up to max_factors real or conjugate-pair
+    factors, every root of modulus >= 1.1."""
+    poly = np.array([1.0])
+    for _ in range(draw(st.integers(0, max_factors))):
+        m = draw(st.floats(1.1, 10.0))
+        if draw(st.booleans()):
+            factor = [1.0, draw(st.sampled_from([-1.0, 1.0])) / m]
+        else:
+            angle = draw(st.floats(0.0, math.pi))
+            factor = [1.0, -2.0 * math.cos(angle) / m, 1.0 / m**2]
+        poly = np.convolve(poly, factor)
+    return poly
+
+
+@st.composite
+def arma_models(draw):
+    phi, theta = draw(root_polys()), draw(root_polys())
+    return ArmaModel(c=draw(st.floats(-10.0, 10.0)), ar=list(-phi[1:]),
+                     ma=list(theta[1:]), sigma2=draw(st.floats(0.01, 1e4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=arma_models(), n=st.integers(1, 2000),
+       seed=st.integers(0, 2**32 - 1))
+def test_residuals_invert_simulate(model, n, seed):
+    # the fit's scipy inverse filter undoes the in-package forward one
+    eps = np.random.default_rng(seed).normal(0.0, math.sqrt(model.sigma2), n)
+    res = residuals(model, simulate(model, n, seed, burn_in=0))
+    scale = np.max(np.abs(eps)) + abs(model.c)
+    assert np.max(np.abs(res - eps)) <= 1e-9 * scale
 
 
 class TestResiduals:

@@ -1,8 +1,10 @@
-"""Start-up cost: only commands that filter may import scipy.
+"""Start-up cost: only the fit may import scipy.signal.
 
 Importing scipy.signal takes longer than most commands' own work, so
-`import beamwander.cli` loads no scipy module, theory, analyze and ingest
-run without one, and crosstalk loads scipy.special alone.
+`import beamwander.cli` loads no scipy module, and theory, analyze,
+ingest, simulate and compare run without one. Crosstalk, from the
+crosstalk command or simulate --l-max, loads scipy.special alone; fit is
+the one command that loads scipy.signal.
 """
 
 import json
@@ -17,7 +19,9 @@ import beamwander
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
 
 # Runs the commands in order in one fresh interpreter and records, after
-# the import and after each command, which scipy modules are loaded.
+# the import and after each command, which scipy modules are loaded. The
+# record accumulates, so the commands that must load none run first and fit
+# runs last.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
@@ -34,15 +38,23 @@ with open(d + "/trace.csv", "w") as fh:
     fh.write("t_s,x,y\n" + "".join(f"{i * 0.01},{i % 5},{i % 3}\n" for i in range(50)))
 with open(d + "/frames.csv", "w") as fh:
     fh.write("2,2\n" + "".join(f"{i % 3 + 1},1,1,1\n" for i in range(20)))
+with open(d + "/model.json", "w") as fh:
+    json.dump({"c": 0.5, "ar": [0.5], "ma": [0.3], "sigma2": 1.0}, fh)
+model = ["--model", d + "/model.json"]
 steps = {
     "theory": ["theory", "--cn2", "1e-14", "--L", "1000", "--omega0", "0.02"],
     "analyze": ["analyze", "--fading", d + "/fading.csv", "--trace", d + "/trace.csv"],
     "ingest": ["ingest", "--frames", d + "/frames.csv", "--fps", "100"],
+    "simulate": ["simulate", *model, "--n", "200", "--omega-st", "3.0"],
+    "compare": ["compare", *model, "--gamma", "0.7", "--n", "50", "--seeds", "2"],
+    "simulate --l-max": ["simulate", *model, "--n", "50", "--omega-st", "3.0",
+                         "--l-max", "2"],
     "crosstalk": ["crosstalk", "--trace", d + "/trace.csv", "--omega-st", "3.0"],
+    "fit": ["fit", "--trace", d + "/simulate/trace.csv"],
 }
 for name, argv in steps.items():
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["--out-dir", d + "/" + name, *argv])
+        code = main(["--out-dir", d + "/" + name.replace(" ", ""), *argv])
     loaded[name] = scipy_modules() if code == 0 else f"exit {code}"
 with open(d + "/loaded.json", "w") as fh:
     json.dump(loaded, fh)
@@ -63,7 +75,8 @@ def test_cli_import_loads_no_scipy(loaded):
     assert loaded["import"] == []
 
 
-@pytest.mark.parametrize("command", ["theory", "analyze", "ingest"])
+@pytest.mark.parametrize("command", ["theory", "analyze", "ingest",
+                                     "simulate", "compare"])
 def test_command_loads_no_scipy(loaded, command):
     assert loaded[command] == []
 
@@ -71,3 +84,14 @@ def test_command_loads_no_scipy(loaded, command):
 def test_crosstalk_loads_special_not_signal(loaded):
     assert "scipy.special" in loaded["crosstalk"]
     assert "scipy.signal" not in loaded["crosstalk"]
+
+
+def test_simulate_l_max_loads_special_not_signal(loaded):
+    assert "scipy.special" in loaded["simulate --l-max"]
+    assert "scipy.signal" not in loaded["simulate --l-max"]
+
+
+def test_only_fit_loads_signal(loaded):
+    assert "scipy.signal" in loaded["fit"]
+    assert [name for name, mods in loaded.items()
+            if "scipy.signal" in mods] == ["fit"]

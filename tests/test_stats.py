@@ -1,7 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamwander import arma, channel, stats
+
+
+def loop_run_lengths(x, threshold):
+    """Plain-loop reference: (above, below) run-length counts, closing a
+    run at each change of side."""
+    sides = [v >= threshold for v in x.tolist()]
+    counts = {True: {}, False: {}}
+    state, length = sides[0], 0
+    for side in sides:
+        if side == state:
+            length += 1
+        else:
+            counts[state][length] = counts[state].get(length, 0) + 1
+            state, length = side, 1
+    counts[state][length] = counts[state].get(length, 0) + 1
+    return counts[True], counts[False]
 
 
 class TestAcf:
@@ -129,6 +150,24 @@ class TestRunLengthDistribution:
     def test_empty(self):
         with pytest.raises(ValueError):
             stats.run_length_distribution([], 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(float, st.integers(1, 300),
+                        elements=st.sampled_from([0.0, 1.0, 2.0, math.nan])),
+           threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+    def test_matches_loop_reference(self, x, threshold):
+        rld = stats.run_length_distribution(x, threshold)
+        assert rld.total_samples() == x.size
+        assert (rld.above, rld.below) == loop_run_lengths(x, threshold)
+
+    def test_pool_sums_counts(self):
+        a = stats.run_length_distribution([1, 1, 0, 0, 0, 1], 0.5)
+        b = stats.run_length_distribution([0, 1, 1, 0], 0.5)
+        pooled = stats.pool_run_lengths([a, b])
+        assert pooled.above == {1: 1, 2: 2}
+        assert pooled.below == {1: 2, 3: 1}
+        assert math.isnan(pooled.threshold)
+        assert pooled.total_samples() == 10
 
 
 class TestScintillationIndex:
