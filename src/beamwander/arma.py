@@ -392,11 +392,12 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
 
 
 def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
-                  estimate_c: bool, max_iter: int, tol: float):
+                  estimate_c: bool):
     """Damped Gauss-Newton on the CSS objective from one starting point.
 
     Exact Jacobian, step-halving line search; converged when the relative
-    CSS change drops below tol or no descent step remains.
+    CSS change drops below _TOL or no descent step remains, with at most
+    _MAX_ITER iterations.
     """
     params = params0.copy()
     css, eps = _css(params, x, p, q, estimate_c)
@@ -404,7 +405,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
         return params, css, 0, eps is not None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         J = _jacobian(params, eps, x, p, q, estimate_c)
         step = -_ols(J, eps)
         new_css = None
@@ -420,7 +421,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
         if new_css is None:
             converged = True  # no descent direction left
             break
-        if abs(css - new_css) <= tol * max(css, 1e-300):
+        if abs(css - new_css) <= _TOL * max(css, 1e-300):
             css = new_css
             converged = True
             break
@@ -435,7 +436,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
 # often misses; a != m keeps each start off the redundant manifold a = m,
 # where J'J is singular.
 _COMMON_FACTORS = ((0.99, 0.97), (0.9, 0.8))
-_MAX_ITER, _TOL = 500, 1e-10  # fit_css's defaults, also order_scan's
+_MAX_ITER, _TOL = 500, 1e-10  # Gauss-Newton iteration cap, relative CSS tolerance
 
 
 def _common_factor_starts(nested: np.ndarray, p: int, q: int,
@@ -452,8 +453,8 @@ def _common_factor_starts(nested: np.ndarray, p: int, q: int,
     return starts
 
 
-def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
-              tol: float, long_ar, start_params=None, nested=None):
+def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, long_ar,
+              start_params=None, nested=None):
     """Lowest-CSS Gauss-Newton end point over the deterministic start set.
 
     Starts, in order: Hannan-Rissanen from the first stage long_ar (zeros
@@ -469,15 +470,14 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, max_iter: int,
     extra = [] if start_params is None else [start_params]
     if p > 0 and q > 0:
         if nested is None:
-            nested = _minimize(x, p - 1, q - 1, estimate_c, max_iter, tol,
-                               long_ar)[0]
+            nested = _minimize(x, p - 1, q - 1, estimate_c, long_ar)[0]
         extra += _common_factor_starts(nested, p, q, estimate_c)
     starts = [hr] + [s for s in extra
                      if np.isfinite(_css(s, x, p, q, estimate_c)[0])]
 
     params, css, iterations, converged = hr, float("inf"), 0, hr.size == 0
     for s0 in starts:
-        pp, cc, it, conv = _gauss_newton(s0, x, p, q, estimate_c, max_iter, tol)
+        pp, cc, it, conv = _gauss_newton(s0, x, p, q, estimate_c)
         iterations = max(iterations, it)
         if cc < css:
             params, css, converged = pp, cc, conv
@@ -494,8 +494,7 @@ def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarra
 
 def fit_css(series, p: int, q: int, estimate_c: bool = True,
             sample_period: float = 1.0, units: str = "",
-            max_iter: int = _MAX_ITER, tol: float = _TOL,
-            start_params=None, nested: FitReport | None = None) -> FitReport:
+            start_params=None) -> FitReport:
     """Conditional-least-squares ARMA fit.
 
     Minimizes the conditional sum of squared innovations (zero pre-sample
@@ -508,11 +507,9 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
       is singular or its MA part is not invertible);
     - start_params, when supplied (e.g. a smaller nested fit padded with
       zeros);
-    - for p, q >= 1, the (p-1, q-1) fit with a near-cancelling pair of
-      factors (1 - a B) on phi and (1 - m B) on theta appended, for
-      (a, m) = (0.99, 0.97) and (0.9, 0.8). That fit is `nested` when
-      supplied (a (p-1, q-1) FitReport of the same series and
-      estimate_c), else fitted here the same way.
+    - for p, q >= 1, the (p-1, q-1) fit, found here the same way, with a
+      near-cancelling pair of factors (1 - a B) on phi and (1 - m B) on
+      theta appended, for (a, m) = (0.99, 0.97) and (0.9, 0.8).
 
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
     the Hannan-Rissanen start alone often ends in a local minimum whose
@@ -529,15 +526,17 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     returned with stationary=False, never silently.
     """
     x = np.asarray(series, dtype=float)
-    return _fit_css(x, p, q, estimate_c, sample_period, units, max_iter, tol,
-                    start_params, nested, functools.partial(_long_ar, x))
+    return _fit_css(x, p, q, estimate_c, sample_period, units, start_params,
+                    None, functools.partial(_long_ar, x))
 
 
 def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
-             sample_period: float, units: str, max_iter: int, tol: float,
-             start_params, nested: FitReport | None, long_ar) -> FitReport:
-    """fit_css on a float array. long_ar() gives the series' `_long_ar`
-    stage; it is called after the checks, and only when p + q > 0."""
+             sample_period: float, units: str, start_params,
+             nested: FitReport | None, long_ar) -> FitReport:
+    """fit_css on a float array. nested, when given, is the series'
+    (p-1, q-1) FitReport, extended by the common-factor starts instead of
+    a fresh fit. long_ar() gives the series' `_long_ar` stage; it is called
+    after the checks, and only when p + q > 0."""
     n = x.size
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
@@ -550,12 +549,10 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
         if start_params.size != k_opt:
             raise ValueError(f"start_params must have {k_opt} entries")
     if nested is not None:
-        if (nested.model.p, nested.model.q) != (p - 1, q - 1):
-            raise ValueError(f"nested must be a ({p - 1}, {q - 1}) fit")
         nested = _pad_start(nested, p - 1, q - 1, estimate_c)
     params, css, iterations, converged = _minimize(
-        x, p, q, estimate_c, max_iter, tol, long_ar() if p + q > 0 else None,
-        start_params, nested)
+        x, p, q, estimate_c, long_ar() if p + q > 0 else None, start_params,
+        nested)
 
     c, ar, ma = _unpack(params, p, q, estimate_c)
     dof = n - p - q - 1
@@ -585,7 +582,7 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
                        invertible=rep.invertible)
     if not converged:
         raise FitConvergenceError(
-            f"CSS optimizer did not converge in {max_iter} iterations", report)
+            f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
@@ -621,8 +618,7 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
             start = min(starts, key=lambda t: t[1])[0] if starts else None
             try:
                 rep = _fit_css(x, p, q, estimate_c, sample_period, units,
-                               _MAX_ITER, _TOL, start, fitted.get((p - 1, q - 1)),
-                               long_ar)
+                               start, fitted.get((p - 1, q - 1)), long_ar)
                 fitted[(p, q)] = rep
                 row.update(converged=rep.converged, stationary=rep.stationary,
                            invertible=rep.invertible, aic=rep.aic,

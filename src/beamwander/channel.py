@@ -128,6 +128,11 @@ def oam_spectrum(r_c: float, omega_st: float, l_max: int) -> OamSpectrum:
         [r_c], [0.0], omega_st, l_max).weights[0])
 
 
+# largest argument a that scipy's ive (AMOS) evaluates; it returns NaN beyond,
+# at offsets of about 32768 beam radii
+_IVE_MAX_ARG = (2**31 - 1) / 2
+
+
 def crosstalk_trace(xs, ys, omega_st: float, l_max: int,
                     sample_period: float = 1.0) -> CrosstalkTrace:
     """OAM mode weights C_l = exp(-a) I_|l|(a), a = r_{c,t}^2/omega_st^2
@@ -144,6 +149,13 @@ def crosstalk_trace(xs, ys, omega_st: float, l_max: int,
     if x.size != y.size:
         raise ValueError("xs and ys must have equal length")
     r_norm = np.sqrt(x**2 + y**2) / omega_st
-    half = ive(np.arange(l_max + 1), r_norm[:, None] ** 2)  # l = 0..l_max
+    a = r_norm**2
+    beyond = np.flatnonzero(a > _IVE_MAX_ARG)
+    if beyond.size:
+        i = beyond[0]
+        raise ValueError(f"sample {i}: offset of {r_norm[i]:.6g} beam radii, "
+                         f"beyond the Bessel kernel's {_IVE_MAX_ARG ** 0.5:.6g}; "
+                         f"are the trace and omega_st in the same units?")
+    half = ive(np.arange(l_max + 1), a[:, None])  # l = 0..l_max
     return CrosstalkTrace(weights=np.concatenate((half[:, :0:-1], half), axis=1),
                           r_norm=r_norm, sample_period=sample_period)

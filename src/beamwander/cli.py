@@ -40,13 +40,7 @@ def _write_manifest(out_dir: str, command: str, params: dict,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    ingest.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_acf_csv(path: str, result: stats.AcfResult) -> None:
@@ -94,7 +88,7 @@ def cmd_theory(args, out_dir: str) -> list[str]:
         ingest.write_csv(path, ["quantity", "value"], zip(*sorted(result.items())))
     else:
         path = os.path.join(out_dir, "theory.json")
-        _write_json(path, result)
+        ingest.write_json(path, result)
     outputs.append(path)
     print(json.dumps(result, indent=2))
     return outputs
@@ -167,9 +161,9 @@ def cmd_fit(args, out_dir: str) -> list[str]:
                               sample_period=trace.sample_period,
                               units=trace.units)
     model_path = os.path.join(out_dir, "model.json")
-    _write_json(model_path, report.model.to_dict())
+    ingest.write_json(model_path, report.model.to_dict())
     report_path = os.path.join(out_dir, "fit_report.json")
-    _write_json(report_path, {
+    ingest.write_json(report_path, {
         "p": p_sel, "q": q_sel, "n": report.n, "css": report.css,
         "loglik": report.loglik, "aic": report.aic, "bic": report.bic,
         "stderr": report.stderr, "converged": report.converged,
@@ -182,7 +176,7 @@ def cmd_fit(args, out_dir: str) -> list[str]:
     diag = arma.diagnose_residuals(res, max_lag=args.max_lag,
                                    n_model_params=p_sel + q_sel)
     diag_path = os.path.join(out_dir, "diagnostics.json")
-    _write_json(diag_path, {
+    ingest.write_json(diag_path, {
         "ljung_box_q": diag.ljung_box_q, "ljung_box_df": diag.ljung_box_df,
         "ljung_box_critical": diag.ljung_box_critical,
         "skewness": diag.skewness, "excess_kurtosis": diag.excess_kurtosis,
@@ -221,7 +215,7 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
     if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)
     summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, summary)
+    ingest.write_json(summary_path, summary)
     print(json.dumps(summary, indent=2))
     return [rld_path, pdf_path, summary_path]
 
@@ -283,7 +277,7 @@ def cmd_compare(args, out_dir: str) -> list[str]:
     _write_rld_csv(arma_path, pooled_arma)
     _write_rld_csv(mem_path, pooled_mem)
     comp_path = os.path.join(out_dir, "comparison.json")
-    _write_json(comp_path, comparison)
+    ingest.write_json(comp_path, comparison)
     print(json.dumps({k: v for k, v in comparison.items() if k != "per_seed"},
                      indent=2))
     return [arma_path, mem_path, comp_path]
@@ -296,8 +290,8 @@ def cmd_ingest(args, out_dir: str) -> list[str]:
         dt = 1.0 / args.fps
     else:
         raise ValueError("give --sample-period or --fps")
-    frames = ingest.load_frames(args.frames, pixel_pitch=args.pixel_pitch)
-    trace = ingest.centroid_trace(frames, dt,
+    frames = ingest.load_frames(args.frames)
+    trace = ingest.centroid_trace(frames, dt, pixel_pitch=args.pixel_pitch,
                                   threshold_fraction=args.threshold_fraction)
     path = os.path.join(out_dir, "trace.csv")
     ingest.write_trace(trace, path)

@@ -1,9 +1,10 @@
 """Raw observations to canonical wander traces.
 
-Weighted-centroid extraction from intensity frames (binary PGM files or a
-CSV-of-frames), mean-centering, lossless trace CSV I/O with a JSON
-sidecar for units and the sample period, and the one CSV writer and
-reader that every file of the package goes through.
+Weighted-centroid extraction from a stack of intensity frames (binary PGM
+files or a CSV-of-frames, read as one (N, rows, cols) array),
+mean-centering, lossless trace CSV I/O with a JSON sidecar for units and
+the sample period, and the one CSV writer and reader and the one JSON
+writer that every file of the package goes through.
 
 Axis convention: x indexes columns, y indexes rows, origin at the center
 of pixel (0, 0).
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,22 +24,6 @@ import numpy as np
 
 TRACE_HEADER = ["t_s", "x", "y"]
 _SPACING_RTOL = 1e-6
-
-
-@dataclass
-class IntensityGrid:
-    """Single non-negative intensity frame; pixel_pitch converts pixel
-    coordinates to meters when known."""
-
-    values: np.ndarray
-    pixel_pitch: float | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("frame must be a 2-D array")
-        if np.any(self.values < 0):
-            raise ValueError("frame intensities must be non-negative")
 
 
 @dataclass
@@ -64,16 +50,35 @@ class WanderTrace:
         return int(self.xs.size)
 
 
-def weighted_centroid(grid: IntensityGrid) -> tuple[float, float]:
-    """Intensity-weighted centroid (x, y) in pixel coordinates."""
-    g = grid.values
-    total = g.sum()
-    if total <= 0:
-        raise ValueError("cannot centroid an all-zero frame")
-    rows, cols = np.indices(g.shape)
-    x = float((cols * g).sum() / total)
-    y = float((rows * g).sum() / total)
-    return x, y
+def _centroids(frames, threshold_fraction: float = 0.0):
+    """Intensity-weighted centroids (xs, ys), in pixels, of every frame
+    of a (N, rows, cols) stack from its row and column sums, taken in
+    float without a float copy of an integer stack. Errors name the
+    0-based frame."""
+    g = np.asarray(frames)
+    if g.ndim != 3 or g.size == 0:
+        raise ValueError(f"frames must be a non-empty stack of equal-shape "
+                         f"2-D arrays, got shape {g.shape}")
+    negative = np.flatnonzero(g.min(axis=(1, 2)) < 0)
+    if negative.size:
+        raise ValueError(f"frame {negative[0]}: intensities must be non-negative")
+    if threshold_fraction > 0:
+        g = np.where(g >= threshold_fraction * g.max(axis=(1, 2), keepdims=True), g, 0)
+    col_sums = g.sum(axis=1, dtype=float)
+    row_sums = g.sum(axis=2, dtype=float)
+    total = col_sums.sum(axis=1)
+    empty = np.flatnonzero(total <= 0)
+    if empty.size:
+        raise ValueError(f"frame {empty[0]}: cannot centroid an all-zero frame")
+    return (col_sums @ np.arange(g.shape[2], dtype=float) / total,
+            row_sums @ np.arange(g.shape[1], dtype=float) / total)
+
+
+def weighted_centroid(frame) -> tuple[float, float]:
+    """Intensity-weighted centroid (x, y) of one 2-D frame in pixel
+    coordinates: the one-frame centroid_trace kernel."""
+    (x,), (y,) = _centroids(np.asarray(frame)[None])
+    return float(x), float(y)
 
 
 def mean_center(trace: WanderTrace) -> WanderTrace:
@@ -89,41 +94,20 @@ def mean_center(trace: WanderTrace) -> WanderTrace:
                        units=trace.units, meta=meta)
 
 
-def centroid_trace(frames, sample_period: float,
+def centroid_trace(frames, sample_period: float, pixel_pitch: float | None = None,
                    threshold_fraction: float = 0.0) -> WanderTrace:
-    """Per-frame weighted centroid, mean-centered.
+    """Weighted centroid of every frame of a (N, rows, cols) stack, or of
+    a list of equal-shape 2-D arrays, mean-centered.
 
     threshold_fraction > 0 zeroes pixels below that fraction of each
     frame's maximum before centroiding (background suppression knob,
-    off by default). Units are pixels, or meters when the first frame
-    carries a pixel_pitch.
+    off by default). Units are pixels, or meters when pixel_pitch
+    (m/pixel) is given.
     """
-    frames = list(frames)
-    if not frames:
-        raise ValueError("no frames given")
-    shape = frames[0].values.shape
-    xs, ys = [], []
-    for idx, frame in enumerate(frames):
-        if frame.values.shape != shape:
-            raise ValueError(f"frame {idx} has shape {frame.values.shape}, "
-                             f"expected {shape}")
-        g = frame.values
-        if threshold_fraction > 0:
-            g = np.where(g >= threshold_fraction * g.max(), g, 0.0)
-        try:
-            cx, cy = weighted_centroid(IntensityGrid(g))
-        except ValueError as exc:
-            raise ValueError(f"frame {idx}: {exc}") from exc
-        xs.append(cx)
-        ys.append(cy)
-    pitch = frames[0].pixel_pitch
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    xs, ys = _centroids(frames, threshold_fraction)
     units = "pixels"
-    if pitch is not None:
-        xs = xs * pitch
-        ys = ys * pitch
-        units = "m"
+    if pixel_pitch is not None:
+        xs, ys, units = xs * pixel_pitch, ys * pixel_pitch, "m"
     return mean_center(WanderTrace(xs=xs, ys=ys, sample_period=sample_period,
                                    units=units))
 
@@ -149,6 +133,13 @@ def write_csv(path: str, header: list[str], columns) -> None:
             fields = [map(repr if c.dtype.kind == "f" else str,
                           c[lo:lo + _BLOCK_ROWS].tolist()) for c in cols]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
+def write_json(path: str, obj) -> None:
+    """Write obj as JSON indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _data_lines(path: str):
@@ -229,9 +220,7 @@ def write_trace(trace: WanderTrace, path: str) -> None:
               [np.arange(len(trace)) * trace.sample_period, trace.xs, trace.ys])
     sidecar = {"units": trace.units, "sample_period_s": trace.sample_period}
     sidecar.update(trace.meta)
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    write_json(path + ".json", sidecar)
 
 
 def read_trace(path: str) -> WanderTrace:
@@ -246,59 +235,62 @@ def read_trace(path: str) -> WanderTrace:
                        units=meta.pop("units", ""), meta=meta)
 
 
-def read_pgm(path: str, pixel_pitch: float | None = None) -> IntensityGrid:
-    """Read a binary (P5) PGM frame."""
+# P5, then width, height and maxval, each after whitespace or '#' comment
+# lines, then one whitespace byte; the digit cap keeps int() in range
+_PGM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PGM_HEADER = re.compile(rb"P5" + (_PGM_SEP + rb"(\d{1,9})") * 3 + rb"\s")
+
+
+def read_pgm(path: str) -> np.ndarray:
+    """Pixels (rows, cols) of a binary (P5) PGM frame, 8- or 16-bit
+    unsigned as stored."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        # skip whitespace and '#' comments between header tokens
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i:i + 1] == b"#":
-            while i < len(data) and data[i] != 0x0A:
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i:i + 1].isspace():
-            i += 1
-        if start < i:
-            tokens.append(data[start:i])
-    if len(tokens) < 4 or tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary P5 PGM file")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    i += 1  # single whitespace byte after maxval
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-    count = width * height
-    pixels = np.frombuffer(data, dtype=dtype, count=count, offset=i)
-    if pixels.size != count:
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary P5 PGM file "
+                         f"(header 'P5 width height maxval')")
+    width, height, maxval = map(int, header.groups())
+    if width == 0 or height == 0:
+        raise ValueError(f"{path}: zero width or height")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    if len(data) - header.end() < width * height * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
-    return IntensityGrid(values=pixels.reshape(height, width).astype(float),
-                         pixel_pitch=pixel_pitch)
+    pixels = np.frombuffer(data, dtype, width * height, header.end())
+    return pixels.reshape(height, width).astype(dtype.newbyteorder("="))
 
 
-def read_frames_csv(path: str, pixel_pitch: float | None = None) -> list[IntensityGrid]:
-    """Read a CSV-of-frames: first line `rows,cols`, then one flattened
-    row-major frame of rows*cols values per line."""
+def read_frames_csv(path: str) -> np.ndarray:
+    """(N, rows, cols) frames of a CSV-of-frames: first line `rows,cols`,
+    then one flattened row-major frame of rows*cols values per line."""
     with open(path) as fh:
         try:
             rows, cols = (int(v) for v in fh.readline().split(","))
         except ValueError:
-            raise ValueError(f"{path}: first line must be 'rows,cols'") from None
+            rows = cols = 0
+        if min(rows, cols) < 1:
+            raise ValueError(f"{path}: first line must be 'rows,cols', "
+                             f"two positive integers")
         data = _parse_rows(fh, path, rows * cols)
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no frames found")
-    return [IntensityGrid(values=frame, pixel_pitch=pixel_pitch)
-            for frame in data.reshape(-1, rows, cols)]
+    return data.reshape(-1, rows, cols)
 
 
-def load_frames(path: str, pixel_pitch: float | None = None) -> list[IntensityGrid]:
-    """Load frames from a directory of .pgm files (sorted by name) or a
-    single CSV-of-frames."""
-    if os.path.isdir(path):
-        names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
-        if not names:
-            raise ValueError(f"{path}: no .pgm files found")
-        return [read_pgm(os.path.join(path, n), pixel_pitch) for n in names]
-    return read_frames_csv(path, pixel_pitch)
+def load_frames(path: str) -> np.ndarray:
+    """(N, rows, cols) frames from a directory of equal-shape .pgm files
+    (sorted by name) or a single CSV-of-frames."""
+    if not os.path.isdir(path):
+        return read_frames_csv(path)
+    names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))
+    if not names:
+        raise ValueError(f"{path}: no .pgm files found")
+    frames = [read_pgm(os.path.join(path, n)) for n in names]
+    for name, frame in zip(names, frames):
+        if frame.shape != frames[0].shape:
+            raise ValueError(f"{os.path.join(path, name)}: frame shape "
+                             f"{frame.shape}, expected {frames[0].shape} "
+                             f"as in {names[0]}")
+    return np.stack(frames)

@@ -231,9 +231,8 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     xs = arma.simulate(TABLE_MODEL, 80, seed=101) * scale
     ys = arma.simulate(TABLE_MODEL, 80, seed=102) * scale
     rows, cols = np.indices((48, 48))
-    frames = [ingest.IntensityGrid(
-        1000.0 * np.exp(-((cols - 24 - x) ** 2 + (rows - 24 - y) ** 2) / 18.0))
-        for x, y in zip(xs, ys)]
+    frames = [1000.0 * np.exp(-((cols - 24 - x) ** 2 + (rows - 24 - y) ** 2) / 18.0)
+              for x, y in zip(xs, ys)]
     tr = ingest.centroid_trace(frames, 1 / 300)
     rms = float(np.sqrt(np.mean((tr.xs - (xs - xs.mean())) ** 2
                                 + (tr.ys - (ys - ys.mean())) ** 2)))

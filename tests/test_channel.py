@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamwander import arma, channel, stats
 from beamwander.channel import (crosstalk_trace, estimate_gamma,
@@ -224,6 +227,28 @@ class TestCrosstalkTrace:
         ct = crosstalk_trace(xs, ys, OMEGA_GAMMA07, 5)
         r = stats.acf(ct.mode_series(0), 1)
         assert r.values[1] > r.significance_bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(offsets=hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(1, 20)),
+                              elements=st.floats(-1e3, 1e3)),
+           omega_st=st.floats(1e-2, 1e3), l_max=st.integers(0, 20))
+    @example(offsets=np.array([[725.0], [725.0]]), omega_st=0.03125, l_max=0)
+    def test_weights_bounded_symmetric_subunit(self, offsets, omega_st, l_max):
+        r_norm = np.sqrt(offsets[0] ** 2 + offsets[1] ** 2) / omega_st
+        if np.any(r_norm**2 > channel._IVE_MAX_ARG):
+            # beyond scipy's ive range: an error naming the sample, not NaN
+            with pytest.raises(ValueError, match="beam radii"):
+                crosstalk_trace(offsets[0], offsets[1], omega_st, l_max)
+            return
+        w = crosstalk_trace(offsets[0], offsets[1], omega_st, l_max).weights
+        assert w.shape == (offsets.shape[1], 2 * l_max + 1)
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        assert w.view(np.int64).tolist() == w[:, ::-1].view(np.int64).tolist()
+        assert np.all(w.sum(axis=1) <= 1.0 + 1e-12)
+
+    def test_offset_beyond_kernel_range_named(self):
+        with pytest.raises(ValueError, match="sample 1: offset of 40000 beam radii"):
+            crosstalk_trace([0.0, 4e4], [0.0, 0.0], 1.0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -262,6 +262,34 @@ class TestIngest:
         assert "sample-period" in capsys.readouterr().err
 
 
+    def rejected_frames(self, tmp_path, capsys, frames, named):
+        code, out = run(tmp_path, "ingest", "--frames", str(frames), "--fps", "300")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert named in err[0]
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("second", [
+        b"P5\n2 x\n255\n" + bytes([1] * 4),      # non-numeric size token
+        b"P5\n2 2\n0\n" + bytes([1] * 4),        # maxval 0
+        b"P5\n2 2\n70000\n" + bytes([1] * 8),    # maxval above 65535
+        b"P5\n0 2\n255\n",                      # width 0
+        b"P5\n2 3\n255\n" + bytes([1] * 6),      # shape differs from the first
+    ], ids=["non_numeric", "maxval_0", "maxval_70000", "width_0", "mixed_shapes"])
+    def test_bad_pgm_named(self, tmp_path, capsys, second):
+        frames = tmp_path / "pgm"
+        frames.mkdir()
+        (frames / "f0.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([1] * 4))
+        (frames / "f1.pgm").write_bytes(second)
+        self.rejected_frames(tmp_path, capsys, frames, str(frames / "f1.pgm"))
+
+    def test_negative_pixel_frame_named(self, tmp_path, capsys):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("2,2\n1,0,0,0\n0,0,-1,1\n")
+        self.rejected_frames(tmp_path, capsys, frames, "frame 1")
+
+
 class TestManifest:
     def test_records_inputs_and_params(self, tmp_path, model_path):
         _, out = run(tmp_path, "--seed", "9", "simulate", "--model", model_path,

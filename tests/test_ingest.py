@@ -9,32 +9,32 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamwander import arma, ingest, stats
-from beamwander.ingest import (IntensityGrid, WanderTrace, centroid_trace,
-                               load_frames, mean_center, read_csv,
-                               read_frames_csv, read_pgm, read_trace,
-                               weighted_centroid, write_csv, write_trace)
+from beamwander.ingest import (WanderTrace, centroid_trace, load_frames,
+                               mean_center, read_csv, read_frames_csv,
+                               read_pgm, read_trace, weighted_centroid,
+                               write_csv, write_trace)
 
 
 def gaussian_frame(cx, cy, shape=(48, 48), sigma=3.0, amp=1000.0):
     rows, cols = np.indices(shape)
-    return IntensityGrid(amp * np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2)
-                                      / (2 * sigma**2)))
+    return amp * np.exp(-((cols - cx) ** 2 + (rows - cy) ** 2)
+                        / (2 * sigma**2))
 
 
 class TestWeightedCentroid:
     def test_single_pixel(self):
         g = np.zeros((5, 7))
         g[2, 4] = 3.0
-        assert weighted_centroid(IntensityGrid(g)) == (4.0, 2.0)
+        assert weighted_centroid(g) == (4.0, 2.0)
 
     def test_uniform_grid(self):
-        assert weighted_centroid(IntensityGrid(np.ones((3, 3)))) == (1.0, 1.0)
+        assert weighted_centroid(np.ones((3, 3))) == (1.0, 1.0)
 
     def test_two_pixel_midpoint(self):
         g = np.zeros((3, 5))
         g[1, 0] = 2.0
         g[1, 4] = 2.0
-        x, y = weighted_centroid(IntensityGrid(g))
+        x, y = weighted_centroid(g)
         assert x == 2.0 and y == 1.0
 
     def test_centered_spot_exact(self):
@@ -52,7 +52,7 @@ class TestWeightedCentroid:
 
     def test_zero_grid(self):
         with pytest.raises(ValueError):
-            weighted_centroid(IntensityGrid(np.zeros((4, 4))))
+            weighted_centroid(np.zeros((4, 4)))
 
 
 class TestCentroidTrace:
@@ -69,17 +69,34 @@ class TestCentroidTrace:
         assert np.allclose(tr.ys, 0.0, atol=5e-3)
 
     def test_zero_frame_named(self):
-        frames = [gaussian_frame(10, 10), IntensityGrid(np.zeros((48, 48)))]
+        frames = [gaussian_frame(10, 10), np.zeros((48, 48))]
         with pytest.raises(ValueError, match="frame 1"):
             centroid_trace(frames, 0.01)
 
     def test_pixel_pitch_converts_units(self):
         frames = [gaussian_frame(10.0 + i, 20.0) for i in range(3)]
-        for f in frames:
-            f.pixel_pitch = 1e-5
-        tr = centroid_trace(frames, 0.01)
+        tr = centroid_trace(frames, 0.01, pixel_pitch=1e-5)
         assert tr.units == "m"
         assert np.allclose(np.diff(tr.xs), 1e-5, rtol=5e-3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float64])
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_matches_per_frame_loop(self, dtype, threshold):
+        # integer pixels sum exactly in any order, so the stack kernel must
+        # equal the per-frame loop bit for bit; float pixels to 1e-12
+        rng = np.random.default_rng(5)
+        frames = (rng.random((40, 9, 13)) * np.iinfo(np.uint16).max).astype(dtype) + 1
+        rows, cols = np.indices(frames.shape[1:])
+        xs, ys = [], []
+        for g in frames.astype(float):
+            if threshold > 0:
+                g = np.where(g >= threshold * g.max(), g, 0.0)
+            xs.append((cols * g).sum() / g.sum())
+            ys.append((rows * g).sum() / g.sum())
+        tr = centroid_trace(frames, 0.01, threshold_fraction=threshold)
+        tol = 0.0 if frames.dtype.kind == "u" else 1e-12
+        assert np.allclose(tr.xs, np.asarray(xs) - np.mean(xs), rtol=0, atol=tol)
+        assert np.allclose(tr.ys, np.asarray(ys) - np.mean(ys), rtol=0, atol=tol)
 
     def test_synthetic_path_roundtrip(self):
         # moving Gaussian spot along a simulated wander path
@@ -160,7 +177,7 @@ class TestFrameFiles:
             fh.write(b"P5\n# comment\n4 3\n255\n")
             fh.write(g.tobytes())
         frame = read_pgm(str(path))
-        assert np.array_equal(frame.values, g.astype(float))
+        assert np.array_equal(frame, g.astype(float))
 
     def test_pgm_16bit(self, tmp_path):
         g = np.array([[300, 40000], [0, 65535]], dtype=">u2")
@@ -169,7 +186,7 @@ class TestFrameFiles:
             fh.write(b"P5 2 2 65535\n")
             fh.write(g.tobytes())
         frame = read_pgm(str(path))
-        assert np.array_equal(frame.values, g.astype(float))
+        assert np.array_equal(frame, g.astype(float))
 
     def test_pgm_rejects_ascii(self, tmp_path):
         path = tmp_path / "h.pgm"
@@ -198,6 +215,13 @@ class TestFrameFiles:
             with pytest.raises(ValueError, match="frames.csv: first line"):
                 read_frames_csv(str(path))
 
+    def test_frames_csv_nonpositive_shape_named(self, tmp_path):
+        for first in ("0,2", "-2,-2"):
+            path = tmp_path / "frames.csv"
+            path.write_text(f"{first}\n1,0,0,0\n")
+            with pytest.raises(ValueError, match="frames.csv: first line"):
+                read_frames_csv(str(path))
+
     def test_load_frames_directory(self, tmp_path):
         for i in range(3):
             with open(tmp_path / f"fr{i}.pgm", "wb") as fh:
@@ -208,6 +232,47 @@ class TestFrameFiles:
         frames = load_frames(str(tmp_path))
         assert len(frames) == 3
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 x\n255\n" + bytes(4), "not a binary P5 PGM"),
+        (b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4), "not a binary P5 PGM"),
+        (b"P5\n0 2\n255\n", "zero width or height"),
+        (b"P5\n2 0\n255\n", "zero width or height"),
+        (b"P5\n2 2\n0\n" + bytes(4), "maxval 0 outside"),
+        (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 outside"),
+        (b"P5\n2 2\n65535\n" + bytes(7), "truncated"),
+    ], ids=["non_numeric", "5000_digits", "width_0", "height_0", "maxval_0",
+            "maxval_70000", "truncated"])
+    def test_pgm_malformed_named(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message) as info:
+            read_pgm(str(path))
+        assert str(info.value).startswith(str(path))
+
+    def test_pgm_comment_digits_are_not_tokens(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5 #7 7\r2 1 # 9\n255\t" + bytes([3, 4]))
+        assert read_pgm(str(path)).tolist() == [[3, 4]]
+
+    def test_load_frames_mixed_shapes_named(self, tmp_path):
+        (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([1] * 4))
+        (tmp_path / "b.pgm").write_bytes(b"P5\n2 3\n255\n" + bytes([1] * 6))
+        with pytest.raises(ValueError, match="b.pgm: frame shape"):
+            load_frames(str(tmp_path))
+
+    def test_frames_csv_negative_frame_named(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("2,2\n1,0,0,0\n0,-1,0,1\n")
+        with pytest.raises(ValueError, match="frame 1: intensities"):
+            centroid_trace(load_frames(str(path)), 0.01)
+
+    def test_load_frames_one_array(self, tmp_path):
+        for i in range(3):
+            (tmp_path / f"fr{i}.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes([i + 1] * 6))
+        frames = load_frames(str(tmp_path))
+        assert frames.shape == (3, 2, 3) and frames.dtype == np.uint8
+        assert frames[:, 0, 0].tolist() == [1, 2, 3]
+
     def test_fit_pipeline_contract(self, tmp_path):
         # centroid_trace output feeds fit_css directly
         rng = np.random.default_rng(4)
@@ -216,6 +281,39 @@ class TestFrameFiles:
         tr = centroid_trace(frames, 1 / 300)
         rep = arma.fit_css(tr.xs, 1, 0, sample_period=tr.sample_period)
         assert rep.converged
+
+
+_PGM_SEPS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# note 12\n", b"#\r"])
+_PGM_TOKENS = st.one_of(st.integers(0, 70000).map(lambda v: str(v).encode()),
+                        st.binary(max_size=4))
+
+
+@st.composite
+def pgm_files(draw):
+    """P5 headers, well- and ill-formed, followed by arbitrary bytes."""
+    head = b"P5"
+    for _ in range(3):
+        head += draw(_PGM_SEPS) + draw(_PGM_TOKENS)
+    return head + draw(st.sampled_from([b"\n", b" ", b""])) + draw(st.binary(max_size=64))
+
+
+class TestPgmFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64), pgm_files()))
+    @example(data=b"P5\n3 2\n255\n" + bytes(range(6)))
+    @example(data=b"P5 1 1 65535 " + b"\x01\x02")
+    @example(data=b"P5 " + b"1" * 5000 + b" 1 255 \x00")
+    def test_frame_or_named_value_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/f.pgm"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                frame = read_pgm(path)
+            except ValueError as exc:
+                assert str(exc).startswith(path)
+            else:
+                assert frame.ndim == 2 and frame.dtype.kind == "u"
 
 
 def reference_csv(path, header, columns):
