@@ -9,13 +9,19 @@ covers validation (stationarity/invertibility via polynomial roots),
 seeded simulation, conditional-least-squares fitting with a Gauss-Newton
 optimizer, AIC/BIC order selection over a grid, and residual whiteness
 diagnostics.
+
+Two filters serve it. Simulation runs the forward recursion
+theta(B)/phi(B) once per series in `_recurse`, with numpy alone. The fit
+inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution and
+one LAPACK banded triangular solve (`_inverse_filter`), which loads
+scipy.linalg on first use.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from statistics import NormalDist
 
@@ -31,12 +37,20 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # bit for bit, so the series is reproducible outside this module.
 
 
-def lfilter(b, a, x) -> np.ndarray:
-    """The fit's filter: scipy.signal.lfilter, imported on first use. A fit
-    makes thousands of passes, which need scipy's compiled loop; the import
-    takes over a second, which commands that never fit should not pay."""
-    import scipy.signal
-    return scipy.signal.lfilter(b, a, x)
+def _inverse_filter(theta, v) -> np.ndarray:
+    """theta(B)^-1 v with zero pre-sample terms, for a monic theta: the fit's
+    filter, equal to scipy.signal.lfilter([1], theta, v) up to rounding.
+
+    theta(B) is then a unit lower-triangular banded Toeplitz matrix, so the
+    filter is one LAPACK dtbtrs solve on its (q + 1, n) band. scipy.linalg
+    is imported here on first use, so that commands that never fit do not
+    pay for the import. With q = 0, v is returned as is.
+    """
+    if len(theta) == 1:
+        return v
+    from scipy.linalg.lapack import dtbtrs
+    ab = np.tile(theta, (len(v), 1)).T  # row k holds theta_k: LAPACK band storage
+    return dtbtrs(ab, v, uplo="L", diag="U")[0]
 
 
 def _recurse(b, a, x) -> np.ndarray:
@@ -93,10 +107,11 @@ class ArmaModel:
     def __post_init__(self):
         self.ar = [float(v) for v in self.ar]
         self.ma = [float(v) for v in self.ma]
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not (math.isfinite(self.sample_period) and self.sample_period > 0):
+            raise ValueError("sample_period must be positive and finite, "
+                             f"got {self.sample_period}")
 
     @property
     def p(self) -> int:
@@ -119,19 +134,38 @@ class ArmaModel:
                 "sigma2": self.sigma2, "sample_period_s": self.sample_period,
                 "units": self.units}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "ArmaModel":
-        return cls(c=float(d["c"]), ar=list(d["ar"]), ma=list(d["ma"]),
-                   sigma2=float(d["sigma2"]),
-                   sample_period=float(d.get("sample_period_s", 1.0)),
-                   units=str(d.get("units", "")))
+    def from_dict(cls, d) -> "ArmaModel":
+        """The model of a `to_dict` object, as read from a model JSON file.
+        c, ar, ma and sigma2 are required; every number must be finite and
+        units a string. Any fault raises ValueError naming the key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
+        missing = [k for k in ("c", "ar", "ma", "sigma2") if k not in d]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
 
-    @classmethod
-    def from_json(cls, s: str) -> "ArmaModel":
-        return cls.from_dict(json.loads(s))
+        def number(key, v):
+            # exact for ints: one beyond the float range is rejected, not
+            # overflowed; NaN compares false
+            if isinstance(v, (int, float)) and not isinstance(v, bool) \
+                    and abs(v) <= sys.float_info.max:
+                return float(v)
+            raise ValueError(f"{key} must be a finite number, got {v!r}")
+
+        def numbers(key):
+            if not isinstance(d[key], list):
+                raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
+            return [number(f"{key}[{i}]", v) for i, v in enumerate(d[key])]
+
+        units = d.get("units", "")
+        if not isinstance(units, str):
+            raise ValueError(f"units must be a string, got {units!r}")
+        return cls(c=number("c", d["c"]), ar=numbers("ar"), ma=numbers("ma"),
+                   sigma2=number("sigma2", d["sigma2"]),
+                   sample_period=number("sample_period_s",
+                                        d.get("sample_period_s", 1.0)),
+                   units=units)
 
 
 @dataclass
@@ -239,13 +273,18 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
 def residuals(model: ArmaModel, series) -> np.ndarray:
     """Invert the recursion: e_t = x_t - c - sum M_i x_{t-i} - sum N_j e_{t-j},
     with zero pre-sample terms. Output length equals input length."""
-    x = np.asarray(series, dtype=float)
-    phi = model.ar_poly()
-    theta = model.ma_poly()
-    eps = lfilter(phi, theta, x)
-    if model.c != 0.0:
-        eps = eps - model.c * lfilter([1.0], theta, np.ones(x.size))
-    return eps
+    return _innovations(model.c, model.ar_poly(), model.ma_poly(),
+                        np.asarray(series, dtype=float))
+
+
+def _innovations(c: float, phi: np.ndarray, theta: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """theta(B)^-1 (phi(B) x - c) with zero pre-sample terms: phi(B) x is a
+    convolution, and one `_inverse_filter` solve inverts theta(B)."""
+    v = np.convolve(phi, x)[:x.size]
+    if c != 0.0:
+        v -= c
+    return _inverse_filter(theta, v)
 
 
 def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
@@ -267,15 +306,11 @@ def _unpack(params: np.ndarray, p: int, q: int, estimate_c: bool):
 def _css_residuals(params: np.ndarray, x: np.ndarray, p: int, q: int,
                    estimate_c: bool) -> np.ndarray:
     c, ar, ma = _unpack(params, p, q, estimate_c)
-    phi = np.concatenate(([1.0], -ar))
-    theta = np.concatenate(([1.0], ma))
     # trial steps may cross into explosive theta territory; the resulting
     # inf/nan CSS is rejected by the line search, so silence the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = lfilter(phi, theta, x)
-        if c != 0.0:
-            eps = eps - c * lfilter([1.0], theta, np.ones(x.size))
-    return eps
+        return _innovations(c, np.concatenate(([1.0], -ar)),
+                            np.concatenate(([1.0], ma)), x)
 
 
 def _invertible(ma) -> bool:
@@ -382,10 +417,10 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
     J = np.zeros((n, off + p + q), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         if estimate_c:
-            J[:, 0] = -lfilter([1.0], theta, np.ones(n))
+            J[:, 0] = -_inverse_filter(theta, np.ones(n))
         for base, src, lags in ((off, x, p), (off + p, eps, q)):
             if lags:
-                u = lfilter([1.0], theta, src)
+                u = _inverse_filter(theta, src)
                 for i in range(1, lags + 1):
                     J[i:, base + i - 1] = -u[:-i]
     return J

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__, arma, channel, ingest, stats, theory
 
-GENERATOR_NAME = arma.GENERATOR_NAME
 FADING_HEADER = ["t_s", "intensity"]
 
 
@@ -34,7 +33,7 @@ def _write_manifest(out_dir: str, command: str, params: dict,
         "command": command,
         "params": params,
         "seed": seed,
-        "generator": GENERATOR_NAME,
+        "generator": arma.GENERATOR_NAME,
         "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
@@ -58,8 +57,13 @@ def _write_rld_csv(path: str, rld: stats.RunLengthDistribution) -> None:
 
 
 def _load_model(path: str) -> arma.ArmaModel:
-    with open(path) as fh:
-        return arma.ArmaModel.from_dict(json.load(fh))
+    """The model JSON at path; an unreadable file, malformed JSON or an
+    invalid model raises one ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return arma.ArmaModel.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _axis_seeds(seed: int, count: int) -> list[int]:
@@ -134,25 +138,17 @@ def cmd_fit(args, out_dir: str) -> list[str]:
     trace = ingest.read_trace(args.trace)
     series = trace.xs if args.axis == "x" else trace.ys
     estimate_c = not args.fix_c
-    outputs = []
-    # ACF/PACF first: a degenerate (constant) trace fails here with a
-    # zero-variance error before any fitting is attempted
-    _write_acf_csv(os.path.join(out_dir, "acf.csv"),
-                   stats.acf(series, args.max_lag))
-    _write_acf_csv(os.path.join(out_dir, "pacf.csv"),
-                   stats.pacf(series, args.max_lag))
-    outputs += [os.path.join(out_dir, "acf.csv"), os.path.join(out_dir, "pacf.csv")]
+    # everything is computed before the first file is written, so a failed
+    # fit leaves no artifacts. ACF/PACF come first: a degenerate (constant)
+    # trace fails there with a zero-variance error before any fitting
+    acf = stats.acf(series, args.max_lag)
+    pacf = stats.pacf(series, args.max_lag)
+    scan = None
     if args.scan is not None:
         p_max, q_max = args.scan
         scan = arma.order_scan(series, p_max, q_max, estimate_c=estimate_c,
                                sample_period=trace.sample_period,
                                units=trace.units)
-        scan_path = os.path.join(out_dir, "scan.csv")
-        header = ["p", "q", "css", "aic", "bic", "converged", "stationary",
-                  "invertible"]
-        ingest.write_csv(scan_path, header,
-                         [[r[k] for r in scan.rows] for k in header])
-        outputs.append(scan_path)
         p_sel, q_sel = scan.selected_bic
         report = scan.fits[scan.selected_bic]
     else:
@@ -160,6 +156,22 @@ def cmd_fit(args, out_dir: str) -> list[str]:
         report = arma.fit_css(series, p_sel, q_sel, estimate_c=estimate_c,
                               sample_period=trace.sample_period,
                               units=trace.units)
+    res = arma.residuals(report.model, series)
+    diag = arma.diagnose_residuals(res, max_lag=args.max_lag,
+                                   n_model_params=p_sel + q_sel)
+
+    acf_path = os.path.join(out_dir, "acf.csv")
+    pacf_path = os.path.join(out_dir, "pacf.csv")
+    _write_acf_csv(acf_path, acf)
+    _write_acf_csv(pacf_path, pacf)
+    outputs = [acf_path, pacf_path]
+    if scan is not None:
+        scan_path = os.path.join(out_dir, "scan.csv")
+        header = ["p", "q", "css", "aic", "bic", "converged", "stationary",
+                  "invertible"]
+        ingest.write_csv(scan_path, header,
+                         [[r[k] for r in scan.rows] for k in header])
+        outputs.append(scan_path)
     model_path = os.path.join(out_dir, "model.json")
     ingest.write_json(model_path, report.model.to_dict())
     report_path = os.path.join(out_dir, "fit_report.json")
@@ -170,11 +182,6 @@ def cmd_fit(args, out_dir: str) -> list[str]:
         "iterations": report.iterations, "stationary": report.stationary,
         "invertible": report.invertible, "estimate_c": estimate_c,
     })
-    outputs += [model_path, report_path]
-
-    res = arma.residuals(report.model, series)
-    diag = arma.diagnose_residuals(res, max_lag=args.max_lag,
-                                   n_model_params=p_sel + q_sel)
     diag_path = os.path.join(out_dir, "diagnostics.json")
     ingest.write_json(diag_path, {
         "ljung_box_q": diag.ljung_box_q, "ljung_box_df": diag.ljung_box_df,
@@ -183,23 +190,17 @@ def cmd_fit(args, out_dir: str) -> list[str]:
         "significance_bound": diag.significance_bound,
         "passed": diag.passed,
     })
-    outputs.append(diag_path)
-    return outputs
+    return outputs + [model_path, report_path, diag_path]
 
 
 def cmd_analyze(args, out_dir: str) -> list[str]:
     _, (intens,) = ingest.read_series(args.fading, FADING_HEADER)
     tr = ingest.read_trace(args.trace) if args.trace is not None else None
     threshold = float(np.mean(intens)) if args.threshold == "mean" else float(args.threshold)
+    # everything is computed before the first file is written, so a failed
+    # run leaves no artifacts
     rld = stats.run_length_distribution(intens, threshold)
-    rld_path = os.path.join(out_dir, "rld.csv")
-    _write_rld_csv(rld_path, rld)
-
     edges, density = stats.empirical_pdf(intens, args.bins)
-    pdf_path = os.path.join(out_dir, "pdf.csv")
-    ingest.write_csv(pdf_path, ["bin_left", "bin_right", "density"],
-                     [edges[:-1], edges[1:], density])
-
     summary = {
         "n": int(intens.size),
         "threshold": threshold,
@@ -214,6 +215,12 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
         summary["gamma_hat"] = channel.estimate_gamma(positive)
     if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)
+
+    rld_path = os.path.join(out_dir, "rld.csv")
+    _write_rld_csv(rld_path, rld)
+    pdf_path = os.path.join(out_dir, "pdf.csv")
+    ingest.write_csv(pdf_path, ["bin_left", "bin_right", "density"],
+                     [edges[:-1], edges[1:], density])
     summary_path = os.path.join(out_dir, "summary.json")
     ingest.write_json(summary_path, summary)
     print(json.dumps(summary, indent=2))

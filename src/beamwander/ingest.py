@@ -259,6 +259,8 @@ def read_pgm(path: str) -> np.ndarray:
     if len(data) - header.end() < width * height * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(data, dtype, width * height, header.end())
+    if pixels.max() > maxval:
+        raise ValueError(f"{path}: pixel value {pixels.max()} above maxval {maxval}")
     return pixels.reshape(height, width).astype(dtype.newbyteorder("="))
 
 

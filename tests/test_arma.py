@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -52,8 +53,8 @@ class TestValidate:
 
 class TestModelJson:
     def test_roundtrip(self):
-        s = TABLE_MODEL.to_json()
-        again = ArmaModel.from_json(s)
+        s = json.dumps(TABLE_MODEL.to_dict())
+        again = ArmaModel.from_dict(json.loads(s))
         assert again == TABLE_MODEL
 
     def test_schema_fields(self):
@@ -63,6 +64,32 @@ class TestModelJson:
     def test_invalid_sigma2(self):
         with pytest.raises(ValueError):
             ArmaModel(c=0.0, ar=[], ma=[], sigma2=0.0)
+
+    @pytest.mark.parametrize("sigma2, period", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_nonfinite_rejected(self, sigma2, period):
+        with pytest.raises(ValueError, match="finite"):
+            ArmaModel(c=0.0, ar=[], ma=[], sigma2=sigma2, sample_period=period)
+
+    def test_from_dict_missing_key(self):
+        d = TABLE_MODEL.to_dict()
+        del d["c"]
+        with pytest.raises(ValueError, match="missing key"):
+            ArmaModel.from_dict(d)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"ar": [0.5, "0.1"]}, r"ar\[1\] must be a finite number"),
+        ({"ma": 0.5}, "ma must be a list"),
+        ({"c": 10**400}, "c must be a finite number"),
+        ({"sigma2": False}, "sigma2 must be a finite number"),
+        ({"sample_period_s": -math.inf}, "sample_period_s must be a finite"),
+        ({"units": None}, "units must be a string"),
+    ])
+    def test_from_dict_rejects(self, change, message):
+        d = TABLE_MODEL.to_dict()
+        d.update(change)
+        with pytest.raises(ValueError, match=message):
+            ArmaModel.from_dict(d)
 
 
 class TestSimulate:
@@ -170,6 +197,37 @@ class TestSimulateExact:
         assert stationary_variance(model) == float(model.sigma2 * np.dot(psi, psi))
 
 
+class TestInverseFilter:
+    """The fit's banded-solve filter against scipy.signal.lfilter, the
+    filter it replaced: equal to rounding, and exactly equal for q = 0."""
+
+    @pytest.mark.parametrize("p,q", ORDERS)
+    def test_equals_lfilter(self, p, q):
+        model = random_model(p, q, -2.5)
+        rng = np.random.default_rng([p, q, 1])
+        thetas = [model.ma_poly()]
+        if q:  # one MA root at modulus 1.000001
+            thetas.append(np.convolve(stable_poly(rng, q - 1),
+                                      [1.0, -1.0 / 1.000001]))
+        phi = model.ar_poly()
+        for n in (3000, 100_000):
+            x = rng.normal(3.0, 10.0, n)
+            for theta in thetas:
+                m = ArmaModel(c=model.c, ar=model.ar, ma=list(theta[1:]),
+                              sigma2=1.0)
+                pairs = [
+                    (residuals(m, x), lfilter(phi, theta, x)
+                     - m.c * lfilter([1.0], theta, np.ones(n))),
+                    (arma._inverse_filter(theta, x), lfilter([1.0], theta, x)),
+                ]
+                for got, expect in pairs:
+                    if q == 0:
+                        assert np.array_equal(got, expect)
+                    else:
+                        err = np.max(np.abs(got - expect))
+                        assert err <= 1e-12 * np.max(np.abs(expect))
+
+
 @st.composite
 def root_polys(draw, max_factors=2):
     """1 + a_1 z + ... from up to max_factors real or conjugate-pair
@@ -197,7 +255,7 @@ def arma_models(draw):
 @given(model=arma_models(), n=st.integers(1, 2000),
        seed=st.integers(0, 2**32 - 1))
 def test_residuals_invert_simulate(model, n, seed):
-    # the fit's scipy inverse filter undoes the in-package forward one
+    # the fit's banded-solve inverse filter undoes the in-package forward one
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(model.sigma2), n)
     res = residuals(model, simulate(model, n, seed, burn_in=0))
     scale = np.max(np.abs(eps)) + abs(model.c)

@@ -34,6 +34,17 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+def failed_cleanly(code, out, capsys, *named):
+    """Exit 1, one `error:` line naming each of `named`, and no file in the
+    output directory."""
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    for text in named:
+        assert text in err[0]
+    assert list(out.iterdir()) == []
+
+
 class TestTheory:
     def test_values_and_manifest(self, tmp_path, capsys):
         code, out = run(tmp_path, "theory", "--cn2", "1e-14", "--L", "1000",
@@ -144,6 +155,13 @@ class TestFit:
         assert "error: " in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_too_short_leaves_no_artifacts(self, tmp_path, capsys):
+        trace = tmp_path / "short.csv"
+        rows = ["t_s,x,y"] + [f"{i * 0.01},{(i * 7) % 5},1.0" for i in range(40)]
+        trace.write_text("\n".join(rows) + "\n")
+        code, out = run(tmp_path, "fit", "--trace", str(trace))
+        failed_cleanly(code, out, capsys, "series too short")
+
 
 class TestAnalyze:
     def test_hand_checked_rld(self, tmp_path, capsys):
@@ -186,6 +204,14 @@ class TestAnalyze:
     def test_nan_intensity_rejected(self, tmp_path, capsys):
         self.rejected_at_line(tmp_path, capsys,
                               ["0.0,0.5", "0.01,nan", "0.02,0.6"], line=3)
+
+    def test_one_bin_leaves_no_artifacts(self, tmp_path, capsys):
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{0.5 + 0.1 * (i % 3)}\n" for i in range(20)))
+        code, out = run(tmp_path, "analyze", "--fading", str(fading),
+                        "--bins", "1")
+        failed_cleanly(code, out, capsys, "bin_count")
 
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
@@ -288,6 +314,40 @@ class TestIngest:
         frames = tmp_path / "frames.csv"
         frames.write_text("2,2\n1,0,0,0\n0,0,-1,1\n")
         self.rejected_frames(tmp_path, capsys, frames, "frame 1")
+
+
+class TestModelFile:
+    """A model JSON that cannot describe a model fails with one `error:`
+    line naming the file, before anything is written."""
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"c": 0.0, "ar": [0.5], "ma": [], "sigma2": 1.0, '
+         '"sample_period_s": Infinity}', "sample_period_s"),
+        ('{"ar": [0.5], "ma": [], "sigma2": 1.0}', "'c'"),
+        ('{"c": 0.0, "ar": "0.5", "ma": [], "sigma2": 1.0}', "ar must be a list"),
+        ('{"c": 0.0, "ar": [NaN], "ma": [], "sigma2": 1.0}', "ar[0]"),
+        ('{"c": 0.0, "ar": [], "ma": [], "sigma2": Infinity}', "sigma2"),
+        ('{"c": 0.0, "ar": [], "ma": [true], "sigma2": 1.0}', "ma[0]"),
+        ('{"c": 0.0, "ar": [], "ma": [], "sigma2": 1.0, "units": 3}', "units"),
+        ('[0.5]', "JSON object"),
+        ('{"c": 0.0,', "Expecting"),
+    ], ids=["infinite_period", "no_c", "ar_string", "ar_nan", "sigma2_inf",
+            "ma_bool", "units_number", "not_object", "truncated"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "50", "--omega-st", "3.0"],
+        ["compare", "--gamma", "0.7", "--n", "50"],
+    ], ids=["simulate", "compare"])
+    def test_bad_model_named(self, tmp_path, capsys, text, named, command):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out = run(tmp_path, command[0], "--model", str(path), *command[1:])
+        failed_cleanly(code, out, capsys, str(path), named)
+
+    def test_missing_file_named(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, out = run(tmp_path, "simulate", "--model", str(path), "--n", "5",
+                        "--omega-st", "3.0")
+        failed_cleanly(code, out, capsys, str(path))
 
 
 class TestManifest:

@@ -1,10 +1,11 @@
-"""Start-up cost: only the fit may import scipy.signal.
+"""Start-up cost: no command imports scipy.signal, and only the fit
+imports scipy.linalg.
 
 Importing scipy.signal takes longer than most commands' own work, so
 `import beamwander.cli` loads no scipy module, and theory, analyze,
 ingest, simulate and compare run without one. Crosstalk, from the
-crosstalk command or simulate --l-max, loads scipy.special alone; fit is
-the one command that loads scipy.signal.
+crosstalk command or simulate --l-max, loads scipy.special; fit loads
+scipy.linalg for its banded LAPACK solve. No command loads scipy.signal.
 """
 
 import json
@@ -91,7 +92,12 @@ def test_simulate_l_max_loads_special_not_signal(loaded):
     assert "scipy.signal" not in loaded["simulate --l-max"]
 
 
-def test_only_fit_loads_signal(loaded):
-    assert "scipy.signal" in loaded["fit"]
+def test_no_command_loads_signal(loaded):
     assert [name for name, mods in loaded.items()
-            if "scipy.signal" in mods] == ["fit"]
+            if "scipy.signal" in mods] == []
+
+
+def test_only_fit_loads_linalg(loaded):
+    assert "scipy.linalg" in loaded["fit"]
+    assert [name for name, mods in loaded.items()
+            if "scipy.linalg" in mods] == ["fit"]

@@ -240,8 +240,12 @@ class TestFrameFiles:
         (b"P5\n2 2\n0\n" + bytes(4), "maxval 0 outside"),
         (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000 outside"),
         (b"P5\n2 2\n65535\n" + bytes(7), "truncated"),
+        (b"P5 2 1 100\n" + bytes([200, 5]), "pixel value 200 above maxval 100"),
+        (b"P5 1 2 1000\n" + bytes([3, 232, 3, 233]),
+         "pixel value 1001 above maxval 1000"),
     ], ids=["non_numeric", "5000_digits", "width_0", "height_0", "maxval_0",
-            "maxval_70000", "truncated"])
+            "maxval_70000", "truncated", "above_maxval_8bit",
+            "above_maxval_16bit"])
     def test_pgm_malformed_named(self, tmp_path, data, message):
         path = tmp_path / "bad.pgm"
         path.write_bytes(data)
