@@ -205,12 +205,11 @@ class ResidualDiagnostics:
 
 @dataclass
 class ScanResult:
-    """Order-scan outcome: one row per (p, q), the AIC/BIC argmins, and
-    the FitReport of every cell that produced one."""
+    """Order-scan outcome: one row per (p, q), the BIC argmin, and the
+    FitReport of every cell that produced one."""
 
     rows: list[dict]
     selected_bic: tuple[int, int]
-    selected_aic: tuple[int, int]
     fits: dict[tuple[int, int], FitReport]
 
 
@@ -630,8 +629,8 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
     (p-1, q) and (p, q-1) neighbors, zero-padded, so the CSS of nested
     models is non-increasing across the grid, and its common-factor starts
     extend the fitted (p-1, q-1) cell. Non-convergent and non-stationary
-    fits are recorded but excluded from selection; the AIC argmin is
-    reported alongside. The selected cell's FitReport is
+    fits are recorded but excluded from selection. Each row carries its
+    AIC too, but only BIC selects. The selected cell's FitReport is
     `fits[selected_bic]`, the model the scan scored.
     """
     if p_max < 0 or q_max < 0:
@@ -672,11 +671,8 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
                   and math.isfinite(r["bic"])]
     if not admissible:
         raise RuntimeError("order scan produced no admissible fits")
-    best_bic = min(admissible, key=lambda r: r["bic"])
-    best_aic = min(admissible, key=lambda r: r["aic"])
-    return ScanResult(rows=rows,
-                      selected_bic=(best_bic["p"], best_bic["q"]),
-                      selected_aic=(best_aic["p"], best_aic["q"]),
+    best = min(admissible, key=lambda r: r["bic"])
+    return ScanResult(rows=rows, selected_bic=(best["p"], best["q"]),
                       fits=fitted)
 
 
@@ -689,15 +685,15 @@ def chi2_quantile(prob: float, df: int) -> float:
     return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
 
-def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0,
-                       significance: float = 0.99) -> ResidualDiagnostics:
+def diagnose_residuals(res, max_lag: int = 20,
+                       n_model_params: int = 0) -> ResidualDiagnostics:
     """Whiteness diagnostics for a residual series.
 
     Computes the residual ACF with its 95% band, the Ljung-Box portmanteau
     statistic Q = n(n+2) sum_k rho_k^2/(n-k) with df = max_lag minus the
     number of fitted ARMA coefficients, and sample skewness / excess
     kurtosis. The pass flag requires Q below the chi-square critical value
-    at `significance` and every lag within a Bonferroni-adjusted band
+    at the 0.99 level and every lag within a Bonferroni-adjusted band
     (family-wise 5% across max_lag lags), so that true white noise passes
     at roughly the nominal rate instead of failing once any single lag
     strays outside the per-lag 95% band.
@@ -708,7 +704,7 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0,
     rho = r.values[1:]
     q_stat = float(n * (n + 2) * np.sum(rho**2 / (n - np.arange(1, max_lag + 1))))
     df = max(max_lag - n_model_params, 1)
-    crit = chi2_quantile(significance, df)
+    crit = chi2_quantile(0.99, df)
     # Bonferroni per-lag band: two-sided 5% split across max_lag lags.
     z_fw = NormalDist().inv_cdf(1.0 - 0.05 / (2.0 * max_lag))
     fw_bound = z_fw / math.sqrt(n)
@@ -723,13 +719,13 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0,
                                excess_kurtosis=exkurt, passed=passed)
 
 
-def stationary_variance(model: ArmaModel, n_terms: int = 20000) -> float:
+def stationary_variance(model: ArmaModel) -> float:
     """Stationary process variance sigma2 * sum psi_j^2 from the impulse
-    response of theta(B)/phi(B), truncated at n_terms."""
+    response of theta(B)/phi(B), truncated at 20 000 terms."""
     rep = validate(model)
     if not rep.stationary:
         raise ValueError("model is not stationary")
-    impulse = np.zeros(n_terms)
+    impulse = np.zeros(20_000)
     impulse[0] = 1.0
     psi = _recurse(model.ma_poly(), model.ar_poly(), impulse)
     return float(model.sigma2 * np.dot(psi, psi))

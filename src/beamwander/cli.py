@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -59,10 +60,10 @@ def _write_rld_csv(path: str, rld: stats.RunLengthDistribution) -> None:
 def _load_model(path: str) -> arma.ArmaModel:
     """The model JSON at path; an unreadable file, malformed JSON or an
     invalid model raises one ValueError naming the file."""
+    obj = ingest.read_json(path)
     try:
-        with open(path) as fh:
-            return arma.ArmaModel.from_dict(json.load(fh))
-    except (OSError, ValueError) as exc:
+        return arma.ArmaModel.from_dict(obj)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -107,31 +108,29 @@ def cmd_simulate(args, out_dir: str) -> list[str]:
     ys = arma.simulate(model, args.n, seed=seed_y)
     trace = ingest.WanderTrace(xs=xs, ys=ys, sample_period=model.sample_period,
                                units=model.units or "model units")
+    # everything is computed before the first file is written, so a failed
+    # run leaves no artifacts
+    intensities = channel.fading_trace(xs, ys, args.omega_st)
+    if args.l_max is not None:
+        r_norm, weights = channel.crosstalk_trace(xs, ys, args.omega_st, args.l_max)
+
+    t = np.arange(args.n) * model.sample_period
     trace_path = os.path.join(out_dir, "trace.csv")
     ingest.write_trace(trace, trace_path)
-    outputs = [trace_path, trace_path + ".json"]
-
-    fading = channel.fading_trace(xs, ys, args.omega_st,
-                                  sample_period=model.sample_period)
     fading_path = os.path.join(out_dir, "fading.csv")
-    ingest.write_csv(fading_path, FADING_HEADER,
-                     [np.arange(args.n) * fading.sample_period, fading.intensities])
-    outputs.append(fading_path)
-
+    ingest.write_csv(fading_path, FADING_HEADER, [t, intensities])
+    outputs = [trace_path, trace_path + ".json", fading_path]
     if args.l_max is not None:
-        ct = channel.crosstalk_trace(xs, ys, args.omega_st, args.l_max,
-                                     sample_period=model.sample_period)
         ct_path = os.path.join(out_dir, "crosstalk.csv")
-        _write_crosstalk_csv(ct_path, ct)
+        _write_crosstalk_csv(ct_path, t, r_norm, weights)
         outputs.append(ct_path)
     return outputs
 
 
-def _write_crosstalk_csv(path: str, ct: channel.CrosstalkTrace) -> None:
-    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-ct.l_max, ct.l_max + 1)]
-    ingest.write_csv(path, header,
-                     [np.arange(ct.r_norm.size) * ct.sample_period, ct.r_norm,
-                      *ct.weights.T])
+def _write_crosstalk_csv(path: str, t, r_norm, weights) -> None:
+    l_max = weights.shape[1] // 2
+    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
+    ingest.write_csv(path, header, [t, r_norm, *weights.T])
 
 
 def cmd_fit(args, out_dir: str) -> list[str]:
@@ -229,10 +228,11 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
 
 def cmd_crosstalk(args, out_dir: str) -> list[str]:
     trace = ingest.read_trace(args.trace)
-    ct = channel.crosstalk_trace(trace.xs, trace.ys, args.omega_st, args.l_max,
-                                 sample_period=trace.sample_period)
+    r_norm, weights = channel.crosstalk_trace(trace.xs, trace.ys, args.omega_st,
+                                              args.l_max)
     path = os.path.join(out_dir, "crosstalk.csv")
-    _write_crosstalk_csv(path, ct)
+    _write_crosstalk_csv(path, np.arange(len(trace)) * trace.sample_period,
+                         r_norm, weights)
     return [path]
 
 
@@ -251,14 +251,10 @@ def cmd_compare(args, out_dir: str) -> list[str]:
         sx, sy, sm = stream_seeds[3 * i:3 * i + 3]
         xs = arma.simulate(model, args.n, seed=sx)
         ys = arma.simulate(model, args.n, seed=sy)
-        fad = channel.fading_trace(xs, ys, args.omega_st,
-                                   sample_period=model.sample_period)
-        mem = channel.memoryless_sample(args.gamma, args.n, seed=sm,
-                                        sample_period=model.sample_period)
-        rld_a = stats.run_length_distribution(
-            fad.intensities, float(np.mean(fad.intensities)))
-        rld_m = stats.run_length_distribution(
-            mem.intensities, float(np.mean(mem.intensities)))
+        fad = channel.fading_trace(xs, ys, args.omega_st)
+        mem = channel.memoryless_sample(args.gamma, args.n, seed=sm)
+        rld_a = stats.run_length_distribution(fad, float(np.mean(fad)))
+        rld_m = stats.run_length_distribution(mem, float(np.mean(mem)))
         rlds_arma.append(rld_a)
         rlds_mem.append(rld_m)
         max_a, max_m = rld_a.max_run_length(), rld_m.max_run_length()
@@ -294,6 +290,8 @@ def cmd_ingest(args, out_dir: str) -> list[str]:
     if args.sample_period is not None:
         dt = args.sample_period
     elif args.fps is not None:
+        if not 0 < args.fps < math.inf:
+            raise ValueError(f"--fps must be positive and finite, got {args.fps}")
         dt = 1.0 / args.fps
     else:
         raise ValueError("give --sample-period or --fps")

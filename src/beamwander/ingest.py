@@ -4,7 +4,8 @@ Weighted-centroid extraction from a stack of intensity frames (binary PGM
 files or a CSV-of-frames, read as one (N, rows, cols) array),
 mean-centering, lossless trace CSV I/O with a JSON sidecar for units and
 the sample period, and the one CSV writer and reader and the one JSON
-writer that every file of the package goes through.
+writer and reader that every file of the package goes through. Text is
+read as UTF-8, and every reader error names its file.
 
 Axis convention: x indexes columns, y indexes rows, origin at the center
 of pixel (0, 0).
@@ -12,6 +13,7 @@ of pixel (0, 0).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -41,8 +43,9 @@ class WanderTrace:
         self.ys = np.asarray(self.ys, dtype=float)
         if self.xs.size != self.ys.size:
             raise ValueError("xs and ys must have equal length")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be positive")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be positive and finite, "
+                             f"got {self.sample_period}")
         if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
             raise ValueError("trace values must be finite")
 
@@ -142,10 +145,31 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def read_json(path: str):
+    """The JSON value in the file at path. An unreadable file, bytes that
+    are not UTF-8 or malformed JSON raise one ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _open_text(path: str):
+    """path opened as UTF-8 text; a byte that does not decode, read
+    anywhere inside the block, raises one ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _data_lines(path: str):
     """(line number, fields) of every non-empty line after the first, the
     lines np.loadtxt reads as rows."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         next(fh, None)
         for lineno, line in enumerate(fh, start=2):
             if line.strip("\r\n"):
@@ -184,7 +208,7 @@ def _parse_rows(fh, path: str, ncols: int) -> np.ndarray:
 def read_csv(path: str, header: list[str]) -> np.ndarray:
     """Rows x columns of a numeric CSV whose first line is `header`.
     Every value must be finite; errors name the file and the line."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         got = [h.strip() for h in fh.readline().split(",")]
         if got != header:
             raise ValueError(f"{path}: expected header '{','.join(header)}'")
@@ -224,15 +248,19 @@ def write_trace(trace: WanderTrace, path: str) -> None:
 
 
 def read_trace(path: str) -> WanderTrace:
-    """Read a `t_s,x,y` CSV (see read_series) and its optional sidecar."""
+    """Read a `t_s,x,y` CSV (see read_series) and its optional sidecar, a
+    JSON object whose `units`, if present, is a string."""
     dt, (xs, ys) = read_series(path, TRACE_HEADER)
-    meta = {}
-    if os.path.exists(path + ".json"):
-        with open(path + ".json") as fh:
-            meta = json.load(fh)
+    sidecar = path + ".json"
+    meta = read_json(sidecar) if os.path.exists(sidecar) else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: sidecar must be a JSON object, "
+                         f"got {type(meta).__name__}")
     meta.pop("sample_period_s", None)
-    return WanderTrace(xs=xs, ys=ys, sample_period=dt,
-                       units=meta.pop("units", ""), meta=meta)
+    units = meta.pop("units", "")
+    if not isinstance(units, str):
+        raise ValueError(f"{sidecar}: units must be a string, got {units!r}")
+    return WanderTrace(xs=xs, ys=ys, sample_period=dt, units=units, meta=meta)
 
 
 # P5, then width, height and maxval, each after whitespace or '#' comment
@@ -267,9 +295,10 @@ def read_pgm(path: str) -> np.ndarray:
 def read_frames_csv(path: str) -> np.ndarray:
     """(N, rows, cols) frames of a CSV-of-frames: first line `rows,cols`,
     then one flattened row-major frame of rows*cols values per line."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
+        first = fh.readline()  # outside the try: bad bytes are not a bad header
         try:
-            rows, cols = (int(v) for v in fh.readline().split(","))
+            rows, cols = (int(v) for v in first.split(","))
         except ValueError:
             rows = cols = 0
         if min(rows, cols) < 1:

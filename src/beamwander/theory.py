@@ -2,7 +2,8 @@
 
 Beam-wander radial variance for Kolmogorov turbulence (general beam,
 collimated beam, and collimated beam with a finite outer scale), the
-long-term beam size, and the Greenwood frequency.
+long-term beam size, and the Greenwood frequency. Each returns a plain
+float; the link itself is described by one LinkParams.
 
 All lengths are SI meters, Cn^2 in m^(-2/3), wind speed in m/s.
 """
@@ -50,30 +51,6 @@ class LinkParams:
             raise ValueError(f"wind_speed must be >= 0, got {self.wind_speed}")
         if self.r0 is not None and not self.r0 > 0:
             raise ValueError(f"r0 must be positive when given, got {self.r0}")
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Short-term beam, long-term beam and wander variance at the receiver.
-
-    The long-term beam satisfies omega_lt^2 = omega_st^2 + rc_var.
-    """
-
-    omega_st: float
-    omega_lt: float
-    rc_var: float
-    i0: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega_st > 0 or not self.omega_lt > 0:
-            raise ValueError("beam radii must be positive")
-        if self.rc_var < 0:
-            raise ValueError("rc_var must be >= 0")
-
-    @classmethod
-    def from_wander(cls, omega_st: float, rc_var: float, i0: float = 1.0) -> "BeamGeometry":
-        return cls(omega_st=omega_st, omega_lt=long_term_beam_size(omega_st, rc_var),
-                   rc_var=rc_var, i0=i0)
 
 
 def hyp2f1_beam(z: float) -> float:

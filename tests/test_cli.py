@@ -103,6 +103,18 @@ class TestSimulate:
         row = [float(v) for v in read_lines(out / "crosstalk.csv")[1].split(",")]
         assert sum(row[2:]) < 1.0 + 1e-9
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--omega-st", "0"], "omega_st must be positive"),
+        (["--omega-st", "1", "--l-max", "-1"], "l_max must be >= 0"),
+        (["--omega-st", "1e-6", "--l-max", "2"], "beam radii"),
+    ], ids=["omega_st_zero", "l_max_negative", "beyond_bessel_range"])
+    def test_failure_leaves_no_artifacts(self, tmp_path, capsys, argv, named):
+        path = tmp_path / "ar1.json"
+        path.write_text('{"c": 0, "ar": [0.5], "ma": [], "sigma2": 1}')
+        code, out = run(tmp_path, "simulate", "--model", str(path), "--n", "50",
+                        *argv)
+        failed_cleanly(code, out, capsys, named)
+
     def test_n_zero_fails(self, tmp_path, model_path, capsys):
         code, out = run(tmp_path, "simulate", "--model", model_path, "--n", "0",
                         "--omega-st", "105.0")
@@ -237,6 +249,17 @@ class TestCrosstalk:
         assert len(lines) == 41
         assert len(lines[0].split(",")) == 2 + 7
 
+    def test_same_bytes_as_simulate(self, tmp_path, model_path):
+        # simulate --l-max and crosstalk each build their own time axis
+        _, sim = run(tmp_path, "simulate", "--model", model_path, "--n", "2000",
+                     "--omega-st", "105.0", "--l-max", "3", sub="sim")
+        code, out = run(tmp_path, "crosstalk", "--trace",
+                        str(sim / "trace.csv"), "--omega-st", "105.0",
+                        "--l-max", "3", sub="ct")
+        assert code == 0
+        assert (out / "crosstalk.csv").read_bytes() == \
+            (sim / "crosstalk.csv").read_bytes()
+
 
 class TestCompare:
     def test_deterministic_and_summed(self, tmp_path, model_path, capsys):
@@ -287,6 +310,19 @@ class TestIngest:
         assert code == 1
         assert "sample-period" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("rate, named", [
+        (["--sample-period", "inf"], "sample_period"),
+        (["--sample-period", "nan"], "sample_period"),
+        (["--fps", "0"], "--fps"),
+        (["--fps", "inf"], "--fps"),
+        (["--fps", "nan"], "--fps"),
+    ], ids=["period_inf", "period_nan", "fps_zero", "fps_inf", "fps_nan"])
+    def test_bad_rate_fails_cleanly(self, tmp_path, capsys, rate, named):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("1,2\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+        code, out = run(tmp_path, "ingest", "--frames", str(frames), *rate)
+        failed_cleanly(code, out, capsys, named)
 
     def rejected_frames(self, tmp_path, capsys, frames, named):
         code, out = run(tmp_path, "ingest", "--frames", str(frames), "--fps", "300")
@@ -348,6 +384,48 @@ class TestModelFile:
         code, out = run(tmp_path, "simulate", "--model", str(path), "--n", "5",
                         "--omega-st", "3.0")
         failed_cleanly(code, out, capsys, str(path))
+
+
+class TestInputBytes:
+    """Undecodable bytes and a malformed trace sidecar fail with one
+    `error:` line naming the offending file, before anything is written."""
+
+    def test_fading_not_utf8(self, tmp_path, capsys):
+        fading = tmp_path / "fading.csv"
+        fading.write_bytes(b"t_s,intensity\n0.0,0.5\n0.01,\xff\n")
+        code, out = run(tmp_path, "analyze", "--fading", str(fading))
+        failed_cleanly(code, out, capsys, f"ValueError: {fading}: ")
+
+    def test_frames_not_utf8(self, tmp_path, capsys):
+        frames = tmp_path / "frames.csv"
+        frames.write_bytes(b"2,2\n\xff,0,0,0\n")
+        code, out = run(tmp_path, "ingest", "--frames", str(frames), "--fps", "1")
+        failed_cleanly(code, out, capsys, f"ValueError: {frames}: not UTF-8")
+
+    @staticmethod
+    def trace_csv(tmp_path):
+        trace = tmp_path / "trace.csv"
+        rows = ["t_s,x,y"] + [f"{i * 0.01},{(i * 7) % 5},1.0" for i in range(200)]
+        trace.write_text("\n".join(rows) + "\n")
+        return trace
+
+    def test_trace_not_utf8(self, tmp_path, capsys):
+        trace = self.trace_csv(tmp_path)
+        trace.write_bytes(trace.read_bytes() + b"2.0,\xff,1.0\n")
+        code, out = run(tmp_path, "fit", "--trace", str(trace))
+        failed_cleanly(code, out, capsys, f"ValueError: {trace}: not UTF-8")
+
+    @pytest.mark.parametrize("sidecar, named", [
+        (b"{bad", "Expecting"),
+        (b"[1,2]", "JSON object"),
+        (b'{"units": 5}', "units must be a string"),
+    ], ids=["truncated", "list", "units_number"])
+    def test_bad_sidecar_named(self, tmp_path, capsys, sidecar, named):
+        trace = self.trace_csv(tmp_path)
+        path = tmp_path / "trace.csv.json"
+        path.write_bytes(sidecar)
+        code, out = run(tmp_path, "fit", "--trace", str(trace))
+        failed_cleanly(code, out, capsys, f"ValueError: {path}: ", named)
 
 
 class TestManifest:

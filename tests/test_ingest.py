@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beamwander import arma, ingest, stats
-from beamwander.ingest import (WanderTrace, centroid_trace, load_frames,
-                               mean_center, read_csv, read_frames_csv,
-                               read_pgm, read_trace, weighted_centroid,
-                               write_csv, write_trace)
+from beamwander import arma, cli, ingest, stats
+from beamwander.ingest import (TRACE_HEADER, WanderTrace, centroid_trace,
+                               load_frames, mean_center, read_csv,
+                               read_frames_csv, read_pgm, read_series,
+                               read_trace, weighted_centroid, write_csv,
+                               write_trace)
 
 
 def gaussian_frame(cx, cy, shape=(48, 48), sigma=3.0, amp=1000.0):
@@ -369,3 +370,102 @@ class TestCsvIO:
         path.write_text("t_s,x,y\n0.0,1,2\n\n0.01,1,inf\n")
         with pytest.raises(ValueError, match="line 4"):
             read_trace(str(path))
+
+
+# arbitrary bytes, and bytes after a valid first line, so that both the
+# header checks and the row parser see them
+_NUMERIC_TEXT = st.text("0123456789.,-+e_ \t\r\ninfa\x00\xff٣",
+                        max_size=64).map(str.encode)
+
+
+def fuzz_bytes(*first_lines):
+    body = st.one_of(st.binary(max_size=64), _NUMERIC_TEXT)
+    return st.one_of(body, st.tuples(st.sampled_from(first_lines), body)
+                     .map(lambda t: t[0] + t[1]))
+
+
+def result_or_named_error(path, read, *args):
+    """read(path, *args), or None after a ValueError whose message starts
+    with path; any other exception fails the test."""
+    try:
+        return read(path, *args)
+    except ValueError as exc:
+        assert str(exc).startswith(path), str(exc)
+        return None
+
+
+class TestReaderFuzz:
+    """Every reader of an outside file returns a result or raises one
+    ValueError that starts with the offending path, whatever the bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=fuzz_bytes(b"t_s,x,y\n", b"t_s,x,y\r\n0,1,2\n"))
+    @example(data=b"t_s,x,y\n0,1,2\n1,\xff,3\n")
+    def test_read_csv_and_series(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/t.csv"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            rows = result_or_named_error(path, read_csv, TRACE_HEADER)
+            if rows is not None:
+                assert rows.shape[1] == 3 and np.isfinite(rows).all()
+            series = result_or_named_error(path, read_series, TRACE_HEADER)
+            if series is not None:
+                assert series[0] > 0 and series[1].shape == (2, rows.shape[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=fuzz_bytes(b"2,2\n", b"1,1\n", b"1,3\n0,1,2\n"))
+    @example(data=b"2,2\n\xff,0,0,0\n")
+    @example(data=b"99999,99999\n1\n")
+    def test_read_frames_csv(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/frames.csv"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            frames = result_or_named_error(path, read_frames_csv)
+            if frames is not None:
+                assert frames.ndim == 3 and frames.shape[0] >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.just(b"t_s,x,y\n0,1,2\n1,2,3\n"),
+                          fuzz_bytes(b"t_s,x,y\n")),
+           sidecar=st.one_of(st.none(), st.binary(max_size=32), st.sampled_from([
+               b'{"units": "m"}', b'{"units": 5}', b"[1,2]", b"{bad", b"null",
+               b'{"units": "m", "sample_period_s": 1e999}', b"[" * 100_000])))
+    @example(data=b"t_s,x,y\n0,1,2\n1,2,3\n", sidecar=b"{bad")
+    @example(data=b"t_s,x,y\n0,1,2\n1,2,3\n", sidecar=b"[1,2]")
+    @example(data=b"t_s,x,y\n0,1,2\n1,2,3\n", sidecar=b'{"units": 5}')
+    @example(data=b"t_s,x,y\n0,1,2\n1,2,3\n", sidecar=b"\xff")
+    def test_read_trace_with_sidecar(self, data, sidecar):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/trace.csv"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if sidecar is not None:
+                with open(path + ".json", "wb") as fh:
+                    fh.write(sidecar)
+            trace = result_or_named_error(path, read_trace)
+            if trace is not None:
+                assert isinstance(trace.units, str) and isinstance(trace.meta, dict)
+                assert 0 < trace.sample_period < np.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=64),
+        st.dictionaries(st.sampled_from(["c", "ar", "ma", "sigma2", "units",
+                                         "sample_period_s"]),
+                        st.one_of(st.none(), st.booleans(), st.integers(),
+                                  st.floats(), st.text(max_size=4),
+                                  st.lists(st.floats(), max_size=3)))
+        .map(lambda d: json.dumps(d).encode())))
+    @example(data=b'{"c": 0, "ar": [0.5], "ma": [], "sigma2": 1}')
+    @example(data=b"\xff")
+    @example(data=b"[" * 100_000)
+    def test_load_model(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/model.json"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            model = result_or_named_error(path, cli._load_model)
+            if model is not None:
+                assert isinstance(model, arma.ArmaModel)

@@ -137,8 +137,7 @@ class TestRunLengthDistribution:
         pooled: dict[int, int] = {}
         for seed in range(10):
             tr = channel.memoryless_sample(0.7, 3000, seed=seed)
-            rld = stats.run_length_distribution(
-                tr.intensities, float(tr.intensities.mean()))
+            rld = stats.run_length_distribution(tr, float(tr.mean()))
             for side in (rld.above, rld.below):
                 for k, v in side.items():
                     pooled[k] = pooled.get(k, 0) + v
@@ -182,7 +181,7 @@ class TestScintillationIndex:
         g = 0.7
         tr = channel.memoryless_sample(g, 1_000_000, seed=10)
         expected = (g / (g + 2)) / (g / (g + 1)) ** 2 - 1
-        assert stats.scintillation_index(tr.intensities) == pytest.approx(expected, rel=0.01)
+        assert stats.scintillation_index(tr) == pytest.approx(expected, rel=0.01)
 
     def test_zero_mean(self):
         with pytest.raises(ValueError):
@@ -204,9 +203,9 @@ class TestEmpiricalPdf:
     def test_power_law_density(self):
         g = 0.7
         tr = channel.memoryless_sample(g, 100_000, seed=13)
-        edges, density = stats.empirical_pdf(tr.intensities, 50, (0.0, 1.0))
+        edges, density = stats.empirical_pdf(tr, 50, (0.0, 1.0))
         width = edges[1] - edges[0]
-        n = tr.intensities.size
+        n = tr.size
         # bin-integrated expectation: the I^(g-1) density varies sharply
         # within the low bins, so a midpoint value would be biased
         expected = (edges[1:] ** g - edges[:-1] ** g) / width

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamwander import theory
-from beamwander.theory import (BeamGeometry, LinkParams, greenwood_frequency,
+from beamwander.theory import (LinkParams, greenwood_frequency,
                                hyp2f1_beam, long_term_beam_size,
                                wander_variance, wander_variance_collimated,
                                wander_variance_general,
@@ -159,10 +159,6 @@ class TestLongTermBeam:
         omega_st = 2.0
         expect = math.sqrt(omega_st**2 + rc_var)
         assert long_term_beam_size(omega_st, rc_var) == pytest.approx(expect, rel=1e-12)
-
-    def test_geometry_invariant(self):
-        g = BeamGeometry.from_wander(omega_st=0.03, rc_var=4e-4)
-        assert g.omega_lt**2 == pytest.approx(g.omega_st**2 + g.rc_var, rel=1e-12)
 
 
 class TestGreenwood:
