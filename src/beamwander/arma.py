@@ -85,7 +85,7 @@ def _recurse(b, a, x) -> np.ndarray:
 
 
 class FitConvergenceError(RuntimeError):
-    """Optimizer hit the iteration cap; carries the best iterate found."""
+    """fit_css hit the iteration cap; `.report` is the best iterate found."""
 
     def __init__(self, message: str, report: "FitReport"):
         super().__init__(message)
@@ -185,10 +185,10 @@ class FitReport:
     aic: float
     bic: float
     stderr: list[float]
-    converged: bool = True
-    iterations: int = 0
-    stationary: bool = True
-    invertible: bool = True
+    converged: bool
+    iterations: int
+    stationary: bool
+    invertible: bool
 
 
 @dataclass
@@ -527,7 +527,6 @@ def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarra
 
 
 def fit_css(series, p: int, q: int, estimate_c: bool = True,
-            sample_period: float = 1.0, units: str = "",
             start_params=None) -> FitReport:
     """Conditional-least-squares ARMA fit.
 
@@ -558,19 +557,27 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     just outside, can lower the CSS by more than the BIC penalty of the
     extra coefficients. A fitted model that violates stationarity is
     returned with stationary=False, never silently.
+
+    The model keeps the default sample_period and units; a caller that
+    knows the series' own sets them. A fit that hits the iteration cap
+    raises FitConvergenceError, whose `.report` is the best iterate.
     """
     x = np.asarray(series, dtype=float)
-    return _fit_css(x, p, q, estimate_c, sample_period, units, start_params,
-                    None, functools.partial(_long_ar, x))
+    report = _fit_css(x, p, q, estimate_c, start_params, None,
+                      functools.partial(_long_ar, x))
+    if not report.converged:
+        raise FitConvergenceError(
+            f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
+    return report
 
 
-def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
-             sample_period: float, units: str, start_params,
-             nested: FitReport | None, long_ar) -> FitReport:
-    """fit_css on a float array. nested, when given, is the series'
-    (p-1, q-1) FitReport, extended by the common-factor starts instead of
-    a fresh fit. long_ar() gives the series' `_long_ar` stage; it is called
-    after the checks, and only when p + q > 0."""
+def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
+             nested, long_ar) -> FitReport:
+    """fit_css on a float array, converged or not. nested, when given, is
+    the parameter vector of the series' (p-1, q-1) fit, extended by the
+    common-factor starts instead of a fresh fit. long_ar() gives the
+    series' `_long_ar` stage; it is called after the checks, and only when
+    p + q > 0."""
     n = x.size
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
@@ -582,8 +589,6 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
         start_params = np.asarray(start_params, dtype=float)
         if start_params.size != k_opt:
             raise ValueError(f"start_params must have {k_opt} entries")
-    if nested is not None:
-        nested = _pad_start(nested, p - 1, q - 1, estimate_c)
     params, css, iterations, converged = _minimize(
         x, p, q, estimate_c, long_ar() if p + q > 0 else None, start_params,
         nested)
@@ -607,21 +612,16 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool,
         except np.linalg.LinAlgError:
             pass
 
-    model = ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2,
-                      sample_period=sample_period, units=units)
+    model = ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2)
     rep = validate(model)
-    report = FitReport(model=model, n=n, css=css, loglik=loglik, aic=aic,
-                       bic=bic, stderr=stderr, converged=converged,
-                       iterations=iterations, stationary=rep.stationary,
-                       invertible=rep.invertible)
-    if not converged:
-        raise FitConvergenceError(
-            f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
-    return report
+    return FitReport(model=model, n=n, css=css, loglik=loglik, aic=aic,
+                     bic=bic, stderr=stderr, converged=converged,
+                     iterations=iterations, stationary=rep.stationary,
+                     invertible=rep.invertible)
 
 
-def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
-               sample_period: float = 1.0, units: str = "") -> ScanResult:
+def order_scan(series, p_max: int, q_max: int,
+               estimate_c: bool = True) -> ScanResult:
     """Fit every (p, q) on the grid and select the BIC argmin.
 
     Grid cells are fitted in increasing order. Besides the starts of
@@ -630,8 +630,10 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
     models is non-increasing across the grid, and its common-factor starts
     extend the fitted (p-1, q-1) cell. Non-convergent and non-stationary
     fits are recorded but excluded from selection. Each row carries its
-    AIC too, but only BIC selects. The selected cell's FitReport is
-    `fits[selected_bic]`, the model the scan scored.
+    AIC too, but only BIC selects. `fits` holds the FitReport of every
+    fitted cell, converged or not, and the selected one is
+    `fits[selected_bic]`, the model the scan scored. As in fit_css, the
+    models carry no sample period or units.
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
@@ -644,28 +646,22 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True,
             row = {"p": p, "q": q, "converged": False, "stationary": False,
                    "invertible": False, "aic": float("nan"),
                    "bic": float("nan"), "css": float("nan"), "error": None}
-            starts = []
-            for prev in ((p - 1, q), (p, q - 1)):
-                if prev in fitted:
-                    starts.append((_pad_start(fitted[prev], p, q, estimate_c),
-                                   fitted[prev].css))
-            start = min(starts, key=lambda t: t[1])[0] if starts else None
+            prev = [fitted[k] for k in ((p - 1, q), (p, q - 1)) if k in fitted]
+            start = (_pad_start(min(prev, key=lambda r: r.css), p, q, estimate_c)
+                     if prev else None)
+            nested = fitted.get((p - 1, q - 1))
+            if nested is not None:
+                nested = _pad_start(nested, p - 1, q - 1, estimate_c)
             try:
-                rep = _fit_css(x, p, q, estimate_c, sample_period, units,
-                               start, fitted.get((p - 1, q - 1)), long_ar)
+                rep = _fit_css(x, p, q, estimate_c, start, nested, long_ar)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                row["error"] = str(exc)
+            else:
                 fitted[(p, q)] = rep
                 row.update(converged=rep.converged, stationary=rep.stationary,
                            invertible=rep.invertible, aic=rep.aic,
-                           bic=rep.bic, css=rep.css)
-            except FitConvergenceError as exc:
-                fitted[(p, q)] = exc.report
-                row.update(aic=exc.report.aic, bic=exc.report.bic,
-                           css=exc.report.css,
-                           stationary=exc.report.stationary,
-                           invertible=exc.report.invertible,
-                           error="no convergence")
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                row["error"] = str(exc)
+                           bic=rep.bic, css=rep.css,
+                           error=None if rep.converged else "no convergence")
             rows.append(row)
     admissible = [r for r in rows if r["converged"] and r["stationary"]
                   and math.isfinite(r["bic"])]

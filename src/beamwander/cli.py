@@ -1,8 +1,11 @@
 """Batch command-line pipeline.
 
 Subcommands: theory, simulate, fit, analyze, crosstalk, compare, ingest.
-Every run writes its artifacts plus a manifest.json into --out-dir;
-re-running with the same arguments and seed reproduces the data files
+Each `cmd_*` function is one pipeline step that writes nothing: it
+returns its artifacts as an ordered dict of file name to value. `main`
+alone writes them into --out-dir, each by the kind of its value (see
+`_write_artifacts`), and then a manifest.json that lists them. Re-running
+with the same arguments and seed reproduces the data files
 byte-identically (the manifest timestamp excluded).
 
 Units: all lengths in meters, Cn^2 in m^(-2/3), wind speed in m/s, unless
@@ -14,6 +17,7 @@ as "above".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,34 +31,24 @@ from . import __version__, arma, channel, ingest, stats, theory
 FADING_HEADER = ["t_s", "intensity"]
 
 
-def _write_manifest(out_dir: str, command: str, params: dict,
-                    inputs: list[str], outputs: list[str],
-                    seed: int | None) -> None:
-    manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "generator": arma.GENERATOR_NAME,
-        "inputs": inputs,
-        "outputs": outputs,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    ingest.write_json(os.path.join(out_dir, "manifest.json"), manifest)
+def _acf_table(result: stats.AcfResult) -> tuple:
+    return (["lag", "value", "bound"],
+            [result.lags, result.values,
+             np.full(result.values.size, float(result.significance_bound))])
 
 
-def _write_acf_csv(path: str, result: stats.AcfResult) -> None:
-    ingest.write_csv(path, ["lag", "value", "bound"],
-                     [result.lags, result.values,
-                      np.full(result.values.size, float(result.significance_bound))])
-
-
-def _write_rld_csv(path: str, rld: stats.RunLengthDistribution) -> None:
+def _rld_table(rld: stats.RunLengthDistribution) -> tuple:
     above, below = sorted(rld.above), sorted(rld.below)
-    ingest.write_csv(path, ["side", "run_length", "count"],
-                     [["above"] * len(above) + ["below"] * len(below),
-                      above + below,
-                      [rld.above[k] for k in above] + [rld.below[k] for k in below]])
+    return (["side", "run_length", "count"],
+            [["above"] * len(above) + ["below"] * len(below),
+             above + below,
+             [rld.above[k] for k in above] + [rld.below[k] for k in below]])
+
+
+def _crosstalk_table(t, r_norm, weights) -> tuple:
+    l_max = weights.shape[1] // 2
+    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
+    return header, [t, r_norm, *weights.T]
 
 
 def _load_model(path: str) -> arma.ArmaModel:
@@ -71,11 +65,11 @@ def _axis_seeds(seed: int, count: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def cmd_theory(args, out_dir: str) -> list[str]:
+def cmd_theory(args) -> dict:
     p = theory.LinkParams(cn2=args.cn2, L=args.L, omega0=args.omega0,
-                          theta0=args.theta0, kappa0=args.kappa0,
-                          wind_speed=args.wind,
-                          r0=args.r0)
+                          theta0=args.theta0, kappa0=args.kappa0)
+    if args.wind < 0:
+        raise ValueError(f"wind_speed must be >= 0, got {args.wind}")
     result = {
         "rc_var_general": theory.wander_variance_general(p),
         "rc_var_collimated": theory.wander_variance_collimated(p),
@@ -87,117 +81,79 @@ def cmd_theory(args, out_dir: str) -> list[str]:
         result["omega_lt"] = theory.long_term_beam_size(args.omega_st, result["rc_var"])
     if args.r0 is not None:
         result["greenwood_hz"] = theory.greenwood_frequency(args.wind, args.r0)
-    outputs = []
-    if args.format == "csv":
-        path = os.path.join(out_dir, "theory.csv")
-        ingest.write_csv(path, ["quantity", "value"], zip(*sorted(result.items())))
-    else:
-        path = os.path.join(out_dir, "theory.json")
-        ingest.write_json(path, result)
-    outputs.append(path)
     print(json.dumps(result, indent=2))
-    return outputs
+    if args.format == "csv":
+        return {"theory.csv": (["quantity", "value"], list(zip(*sorted(result.items()))))}
+    return {"theory.json": result}
 
 
-def cmd_simulate(args, out_dir: str) -> list[str]:
+def cmd_simulate(args) -> dict:
     model = _load_model(args.model)
     if args.n <= 0:
         raise ValueError("n must be positive")
     seed_x, seed_y = _axis_seeds(args.seed, 2)
     xs = arma.simulate(model, args.n, seed=seed_x)
     ys = arma.simulate(model, args.n, seed=seed_y)
-    trace = ingest.WanderTrace(xs=xs, ys=ys, sample_period=model.sample_period,
-                               units=model.units or "model units")
-    # everything is computed before the first file is written, so a failed
-    # run leaves no artifacts
-    intensities = channel.fading_trace(xs, ys, args.omega_st)
-    if args.l_max is not None:
-        r_norm, weights = channel.crosstalk_trace(xs, ys, args.omega_st, args.l_max)
-
     t = np.arange(args.n) * model.sample_period
-    trace_path = os.path.join(out_dir, "trace.csv")
-    ingest.write_trace(trace, trace_path)
-    fading_path = os.path.join(out_dir, "fading.csv")
-    ingest.write_csv(fading_path, FADING_HEADER, [t, intensities])
-    outputs = [trace_path, trace_path + ".json", fading_path]
+    artifacts = {
+        "trace.csv": ingest.WanderTrace(xs=xs, ys=ys, sample_period=model.sample_period,
+                                        units=model.units or "model units"),
+        "fading.csv": (FADING_HEADER, [t, channel.fading_trace(xs, ys, args.omega_st)]),
+    }
     if args.l_max is not None:
-        ct_path = os.path.join(out_dir, "crosstalk.csv")
-        _write_crosstalk_csv(ct_path, t, r_norm, weights)
-        outputs.append(ct_path)
-    return outputs
+        artifacts["crosstalk.csv"] = _crosstalk_table(
+            t, *channel.crosstalk_trace(xs, ys, args.omega_st, args.l_max))
+    return artifacts
 
 
-def _write_crosstalk_csv(path: str, t, r_norm, weights) -> None:
-    l_max = weights.shape[1] // 2
-    header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
-    ingest.write_csv(path, header, [t, r_norm, *weights.T])
-
-
-def cmd_fit(args, out_dir: str) -> list[str]:
+def cmd_fit(args) -> dict:
     trace = ingest.read_trace(args.trace)
     series = trace.xs if args.axis == "x" else trace.ys
     estimate_c = not args.fix_c
-    # everything is computed before the first file is written, so a failed
-    # fit leaves no artifacts. ACF/PACF come first: a degenerate (constant)
-    # trace fails there with a zero-variance error before any fitting
-    acf = stats.acf(series, args.max_lag)
-    pacf = stats.pacf(series, args.max_lag)
-    scan = None
+    # ACF/PACF come first: a degenerate (constant) trace fails there with a
+    # zero-variance error before any fitting
+    artifacts = {"acf.csv": _acf_table(stats.acf(series, args.max_lag)),
+                 "pacf.csv": _acf_table(stats.pacf(series, args.max_lag))}
     if args.scan is not None:
-        p_max, q_max = args.scan
-        scan = arma.order_scan(series, p_max, q_max, estimate_c=estimate_c,
-                               sample_period=trace.sample_period,
-                               units=trace.units)
-        p_sel, q_sel = scan.selected_bic
+        scan = arma.order_scan(series, *args.scan, estimate_c=estimate_c)
         report = scan.fits[scan.selected_bic]
-    else:
-        p_sel, q_sel = args.p, args.q
-        report = arma.fit_css(series, p_sel, q_sel, estimate_c=estimate_c,
-                              sample_period=trace.sample_period,
-                              units=trace.units)
-    res = arma.residuals(report.model, series)
-    diag = arma.diagnose_residuals(res, max_lag=args.max_lag,
-                                   n_model_params=p_sel + q_sel)
-
-    acf_path = os.path.join(out_dir, "acf.csv")
-    pacf_path = os.path.join(out_dir, "pacf.csv")
-    _write_acf_csv(acf_path, acf)
-    _write_acf_csv(pacf_path, pacf)
-    outputs = [acf_path, pacf_path]
-    if scan is not None:
-        scan_path = os.path.join(out_dir, "scan.csv")
         header = ["p", "q", "css", "aic", "bic", "converged", "stationary",
                   "invertible"]
-        ingest.write_csv(scan_path, header,
-                         [[r[k] for r in scan.rows] for k in header])
-        outputs.append(scan_path)
-    model_path = os.path.join(out_dir, "model.json")
-    ingest.write_json(model_path, report.model.to_dict())
-    report_path = os.path.join(out_dir, "fit_report.json")
-    ingest.write_json(report_path, {
-        "p": p_sel, "q": q_sel, "n": report.n, "css": report.css,
+        artifacts["scan.csv"] = (header, [[r[k] for r in scan.rows] for k in header])
+    else:
+        report = arma.fit_css(series, args.p, args.q, estimate_c=estimate_c)
+    model = dataclasses.replace(report.model, sample_period=trace.sample_period,
+                                units=trace.units)
+    diag = arma.diagnose_residuals(arma.residuals(model, series), max_lag=args.max_lag,
+                                   n_model_params=model.p + model.q)
+    artifacts["model.json"] = model.to_dict()
+    artifacts["fit_report.json"] = {
+        "p": model.p, "q": model.q, "n": report.n, "css": report.css,
         "loglik": report.loglik, "aic": report.aic, "bic": report.bic,
         "stderr": report.stderr, "converged": report.converged,
         "iterations": report.iterations, "stationary": report.stationary,
         "invertible": report.invertible, "estimate_c": estimate_c,
-    })
-    diag_path = os.path.join(out_dir, "diagnostics.json")
-    ingest.write_json(diag_path, {
+    }
+    artifacts["diagnostics.json"] = {
         "ljung_box_q": diag.ljung_box_q, "ljung_box_df": diag.ljung_box_df,
         "ljung_box_critical": diag.ljung_box_critical,
         "skewness": diag.skewness, "excess_kurtosis": diag.excess_kurtosis,
         "significance_bound": diag.significance_bound,
         "passed": diag.passed,
-    })
-    return outputs + [model_path, report_path, diag_path]
+    }
+    return artifacts
 
 
-def cmd_analyze(args, out_dir: str) -> list[str]:
+def cmd_analyze(args) -> dict:
     _, (intens,) = ingest.read_series(args.fading, FADING_HEADER)
     tr = ingest.read_trace(args.trace) if args.trace is not None else None
-    threshold = float(np.mean(intens)) if args.threshold == "mean" else float(args.threshold)
-    # everything is computed before the first file is written, so a failed
-    # run leaves no artifacts
+    try:
+        threshold = float(np.mean(intens) if args.threshold == "mean" else args.threshold)
+    except ValueError:
+        threshold = math.nan
+    if not math.isfinite(threshold):
+        raise ValueError("--threshold must be 'mean' or a finite number, "
+                         f"got {args.threshold!r}")
     rld = stats.run_length_distribution(intens, threshold)
     edges, density = stats.empirical_pdf(intens, args.bins)
     summary = {
@@ -214,29 +170,22 @@ def cmd_analyze(args, out_dir: str) -> list[str]:
         summary["gamma_hat"] = channel.estimate_gamma(positive)
     if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)
-
-    rld_path = os.path.join(out_dir, "rld.csv")
-    _write_rld_csv(rld_path, rld)
-    pdf_path = os.path.join(out_dir, "pdf.csv")
-    ingest.write_csv(pdf_path, ["bin_left", "bin_right", "density"],
-                     [edges[:-1], edges[1:], density])
-    summary_path = os.path.join(out_dir, "summary.json")
-    ingest.write_json(summary_path, summary)
     print(json.dumps(summary, indent=2))
-    return [rld_path, pdf_path, summary_path]
+    return {"rld.csv": _rld_table(rld),
+            "pdf.csv": (["bin_left", "bin_right", "density"],
+                        [edges[:-1], edges[1:], density]),
+            "summary.json": summary}
 
 
-def cmd_crosstalk(args, out_dir: str) -> list[str]:
+def cmd_crosstalk(args) -> dict:
     trace = ingest.read_trace(args.trace)
     r_norm, weights = channel.crosstalk_trace(trace.xs, trace.ys, args.omega_st,
                                               args.l_max)
-    path = os.path.join(out_dir, "crosstalk.csv")
-    _write_crosstalk_csv(path, np.arange(len(trace)) * trace.sample_period,
-                         r_norm, weights)
-    return [path]
+    return {"crosstalk.csv": _crosstalk_table(
+        np.arange(len(trace)) * trace.sample_period, r_norm, weights)}
 
 
-def cmd_compare(args, out_dir: str) -> list[str]:
+def cmd_compare(args) -> dict:
     """ARMA-driven fading vs the memoryless PDF baseline at matched n."""
     model = _load_model(args.model)
     if args.n <= 0:
@@ -275,32 +224,26 @@ def cmd_compare(args, out_dir: str) -> list[str]:
         + sum(v for k, v in pooled_mem.below.items() if k >= tail),
         "per_seed": per_seed,
     }
-    arma_path = os.path.join(out_dir, "rld_arma.csv")
-    mem_path = os.path.join(out_dir, "rld_memoryless.csv")
-    _write_rld_csv(arma_path, pooled_arma)
-    _write_rld_csv(mem_path, pooled_mem)
-    comp_path = os.path.join(out_dir, "comparison.json")
-    ingest.write_json(comp_path, comparison)
     print(json.dumps({k: v for k, v in comparison.items() if k != "per_seed"},
                      indent=2))
-    return [arma_path, mem_path, comp_path]
+    return {"rld_arma.csv": _rld_table(pooled_arma),
+            "rld_memoryless.csv": _rld_table(pooled_mem),
+            "comparison.json": comparison}
 
 
-def cmd_ingest(args, out_dir: str) -> list[str]:
+def cmd_ingest(args) -> dict:
     if args.sample_period is not None:
         dt = args.sample_period
     elif args.fps is not None:
-        if not 0 < args.fps < math.inf:
-            raise ValueError(f"--fps must be positive and finite, got {args.fps}")
+        if not args.fps > 0:
+            raise ValueError(f"--fps must be positive, got {args.fps}")
         dt = 1.0 / args.fps
     else:
         raise ValueError("give --sample-period or --fps")
     frames = ingest.load_frames(args.frames)
-    trace = ingest.centroid_trace(frames, dt, pixel_pitch=args.pixel_pitch,
-                                  threshold_fraction=args.threshold_fraction)
-    path = os.path.join(out_dir, "trace.csv")
-    ingest.write_trace(trace, path)
-    return [path, path + ".json"]
+    return {"trace.csv": ingest.centroid_trace(
+        frames, dt, pixel_pitch=args.pixel_pitch,
+        threshold_fraction=args.threshold_fraction)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,19 +330,47 @@ _COMMANDS = {
 }
 
 
+def _write_artifacts(out_dir: str, artifacts: dict) -> list[str]:
+    """Write each artifact into out_dir by the kind of its value, in
+    order, and return the names of the files written: a (header, columns)
+    table by ingest.write_csv, a WanderTrace by ingest.write_trace (which
+    adds the `name + ".json"` sidecar), anything else by ingest.write_json."""
+    names = []
+    for name, value in artifacts.items():
+        path = os.path.join(out_dir, name)
+        names.append(name)
+        if isinstance(value, tuple):
+            ingest.write_csv(path, *value)
+        elif isinstance(value, ingest.WanderTrace):
+            ingest.write_trace(value, path)
+            names.append(name + ".json")
+        else:
+            ingest.write_json(path, value)
+    return names
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out_dir = args.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        outputs = _COMMANDS[args.command](args, out_dir)
-        params = {k: v for k, v in vars(args).items()
-                  if k not in ("command", "out_dir", "seed")}
-        inputs = [v for k, v in vars(args).items()
-                  if k in ("model", "trace", "fading", "frames") and v]
-        _write_manifest(out_dir, args.command, params, inputs,
-                        [os.path.basename(o) for o in outputs], args.seed)
+        os.makedirs(args.out_dir, exist_ok=True)
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+        # the command computes every artifact before the first file is
+        # written, so a run that fails in it leaves no files
+        outputs = _write_artifacts(args.out_dir, _COMMANDS[args.command](args))
+        ingest.write_json(os.path.join(args.out_dir, "manifest.json"), {
+            "command": args.command,
+            "params": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "out_dir", "seed")},
+            "seed": args.seed,
+            "generator": arma.GENERATOR_NAME,
+            "inputs": [v for k, v in vars(args).items()
+                       if k in ("model", "trace", "fading", "frames") and v],
+            "outputs": outputs,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        })
     except Exception as exc:  # single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -107,6 +107,10 @@ def centroid_trace(frames, sample_period: float, pixel_pitch: float | None = Non
     off by default). Units are pixels, or meters when pixel_pitch
     (m/pixel) is given.
     """
+    if not 0 <= threshold_fraction <= 1:
+        raise ValueError(f"threshold_fraction must lie in [0, 1], got {threshold_fraction}")
+    if pixel_pitch is not None and not 0 < pixel_pitch < math.inf:
+        raise ValueError(f"pixel_pitch must be positive and finite, got {pixel_pitch}")
     xs, ys = _centroids(frames, threshold_fraction)
     units = "pixels"
     if pixel_pitch is not None:

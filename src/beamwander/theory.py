@@ -24,8 +24,6 @@ class LinkParams:
     theta0     beam parameter, dimensionless; 1 = collimated. Only the
                collimated-to-focused range [0, 1] is accepted.
     kappa0     outer-scale wavenumber, 1/m; 0 means infinite outer scale
-    wind_speed transverse wind speed, m/s
-    r0         Fried parameter / atmospheric coherence length, m (optional)
     """
 
     cn2: float
@@ -33,8 +31,6 @@ class LinkParams:
     omega0: float
     theta0: float = 1.0
     kappa0: float = 0.0
-    wind_speed: float = 0.0
-    r0: float | None = None
 
     def __post_init__(self):
         if not self.cn2 > 0:
@@ -47,10 +43,6 @@ class LinkParams:
             raise ValueError(f"theta0 must lie in [0, 1], got {self.theta0}")
         if self.kappa0 < 0:
             raise ValueError(f"kappa0 must be >= 0, got {self.kappa0}")
-        if self.wind_speed < 0:
-            raise ValueError(f"wind_speed must be >= 0, got {self.wind_speed}")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ValueError(f"r0 must be positive when given, got {self.r0}")
 
 
 def hyp2f1_beam(z: float) -> float:

@@ -452,6 +452,34 @@ class TestOrderScan:
             (p, q) for p in range(2) for q in range(3)}
 
 
+class TestIterationCap:
+    """A fit that hits the Gauss-Newton cap: fit_css raises with the best
+    iterate, and order_scan keeps the cell but never selects it."""
+
+    @pytest.fixture
+    def x(self, monkeypatch):
+        monkeypatch.setattr(arma, "_MAX_ITER", 1)
+        return simulate(TABLE_MODEL, 1500, seed=1)
+
+    def test_fit_css_raises_with_report(self, x):
+        with pytest.raises(arma.FitConvergenceError, match="did not converge") as info:
+            fit_css(x, 2, 2)
+        report = info.value.report
+        assert report.converged is False and report.iterations == 1
+        assert math.isfinite(report.css)
+
+    def test_order_scan_records_but_never_selects(self, x):
+        scan = order_scan(x, 2, 2, estimate_c=False)
+        rows = {(r["p"], r["q"]): r for r in scan.rows}
+        # with no parameters to fit, (0, 0) is the one converged cell
+        capped = [k for k in rows if k != (0, 0)]
+        assert rows[(0, 0)]["converged"] and scan.selected_bic == (0, 0)
+        for k in capped:
+            assert not rows[k]["converged"] and rows[k]["error"] == "no convergence"
+            assert scan.fits[k].converged is False
+            assert rows[k]["bic"] < rows[(0, 0)]["bic"]  # excluded, not outscored
+
+
 class TestDiagnostics:
     def test_lag_zero_is_one(self):
         x = np.random.default_rng(23).normal(size=500)

@@ -67,6 +67,15 @@ class TestTheory:
         assert lines[0] == "quantity,value"
         assert any(line.startswith("rc_var,") for line in lines)
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--wind", "-1"], "wind_speed must be >= 0"),
+        (["--r0", "0"], "r0 must be positive"),
+    ], ids=["wind_negative", "r0_zero"])
+    def test_bad_wind_or_r0_fails_cleanly(self, tmp_path, capsys, argv, named):
+        code, out = run(tmp_path, "theory", "--cn2", "1e-14", "--L", "1000",
+                        "--omega0", "0.02", *argv)
+        failed_cleanly(code, out, capsys, named)
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path, model_path):
@@ -157,6 +166,18 @@ class TestFit:
         row = next(r for r in (line.split(",") for line in lines[1:])
                    if (int(r[0]), int(r[1])) == (report["p"], report["q"]))
         assert (report["css"], report["bic"]) == (float(row[2]), float(row[4]))
+
+    @pytest.mark.parametrize("order", [["--p", "2", "--q", "2"], ["--scan", "2", "2"]],
+                             ids=["single", "scan"])
+    def test_model_carries_trace_period_and_units(self, tmp_path, model_path, order):
+        _, sim = run(tmp_path, "--seed", "3", "simulate", "--model", model_path,
+                     "--n", "1500", "--omega-st", "105.0", sub="sim")
+        code, out = run(tmp_path, "fit", "--trace", str(sim / "trace.csv"),
+                        *order, "--fix-c", sub="fit")
+        assert code == 0
+        fitted = json.loads((out / "model.json").read_text())
+        assert fitted["units"] == "um"
+        assert fitted["sample_period_s"] == pytest.approx(1 / 300, rel=1e-9)
 
     def test_constant_trace_fails_before_fit(self, tmp_path, capsys):
         trace = tmp_path / "flat.csv"
@@ -312,8 +333,8 @@ class TestIngest:
 
 
     @pytest.mark.parametrize("rate, named", [
-        (["--sample-period", "inf"], "sample_period"),
-        (["--sample-period", "nan"], "sample_period"),
+        (["--sample-period", "inf"], "--sample-period"),
+        (["--sample-period", "nan"], "--sample-period"),
         (["--fps", "0"], "--fps"),
         (["--fps", "inf"], "--fps"),
         (["--fps", "nan"], "--fps"),
@@ -426,6 +447,108 @@ class TestInputBytes:
         path.write_bytes(sidecar)
         code, out = run(tmp_path, "fit", "--trace", str(trace))
         failed_cleanly(code, out, capsys, f"ValueError: {path}: ", named)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths, by name, of a model JSON, a CSV-of-frames, and a simulated
+    trace (with sidecar) and fading CSV."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "model.json").write_text(json.dumps(TABLE_MODEL))
+    (d / "frames.csv").write_text("2,2\n1,0,0,0\n0,1,0,0\n0,0,1,1\n")
+    assert main(["--out-dir", str(d), "--seed", "4", "simulate", "--model",
+                 str(d / "model.json"), "--n", "1000", "--omega-st", "105.0"]) == 0
+    return {name: str(d / f"{name}.{ext}") for name, ext in (
+        ("model", "json"), ("frames", "csv"), ("trace", "csv"), ("fading", "csv"))}
+
+
+def fill(argv, inputs):
+    return [a.format(**inputs) for a in argv]
+
+
+THEORY = ["theory", "--cn2", "1e-14", "--L", "100", "--omega0", "0.01"]
+FRAMES = ["ingest", "--frames", "{frames}", "--fps", "1"]
+
+
+class TestOptionRange:
+    """A float option that is not finite, an analyze threshold that is
+    neither 'mean' nor a finite number, and an ingest pixel pitch or
+    threshold fraction out of range fail with one `error:` line naming the
+    option, before anything is written."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["theory", "--cn2", "inf", "--L", "100", "--omega0", "0.01"],
+         "--cn2 must be finite, got inf"),
+        (["theory", "--cn2", "1e-14", "--L", "inf", "--omega0", "0.01"], "--L "),
+        (["theory", "--cn2", "1e-14", "--L", "100", "--omega0", "inf"], "--omega0 "),
+        (THEORY + ["--kappa0", "inf"], "--kappa0 "),
+        (THEORY + ["--wind", "nan"], "--wind must be finite, got nan"),
+        (THEORY + ["--r0", "inf"], "--r0 "),
+        (THEORY + ["--omega-st", "inf"], "--omega-st must be finite, got inf"),
+        (["simulate", "--model", "{model}", "--n", "50", "--omega-st", "inf"],
+         "--omega-st "),
+        (["crosstalk", "--trace", "{trace}", "--omega-st", "inf"], "--omega-st "),
+        (["compare", "--model", "{model}", "--gamma", "0.7", "--n", "50",
+          "--omega-st", "inf"], "--omega-st "),
+        (["compare", "--model", "{model}", "--gamma", "inf", "--n", "50"], "--gamma "),
+        (["analyze", "--fading", "{fading}", "--threshold", "nan"], "--threshold "),
+        (["analyze", "--fading", "{fading}", "--threshold", "high"], "--threshold "),
+        (FRAMES + ["--threshold-fraction", "nan"], "--threshold-fraction "),
+        (FRAMES + ["--threshold-fraction", "2"], "threshold_fraction must lie in [0, 1]"),
+        (FRAMES + ["--pixel-pitch", "-1"], "pixel_pitch must be positive"),
+    ], ids=["theory_cn2", "theory_L", "theory_omega0", "theory_kappa0",
+            "theory_wind", "theory_r0", "theory_omega_st", "simulate_omega_st",
+            "crosstalk_omega_st", "compare_omega_st", "compare_gamma",
+            "analyze_threshold_nan", "analyze_threshold_word",
+            "ingest_threshold_nan", "ingest_threshold_2", "ingest_pitch"])
+    def test_rejected(self, tmp_path, capsys, inputs, argv, named):
+        code, out = run(tmp_path, *fill(argv, inputs))
+        failed_cleanly(code, out, capsys, named)
+
+
+def strict_json(path):
+    """The JSON in the file at path; NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestWriterContract:
+    """On valid inputs --out-dir holds exactly the manifest's outputs plus
+    manifest.json, the outputs keep each command's order, and every JSON
+    file is strict JSON."""
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (THEORY + ["--wind", "5", "--r0", "0.018", "--omega-st", "0.01"],
+         ["theory.json"]),
+        (["--format", "csv", *THEORY, "--kappa0", "2"], ["theory.csv"]),
+        (["simulate", "--model", "{model}", "--n", "300", "--omega-st", "105.0"],
+         ["trace.csv", "trace.csv.json", "fading.csv"]),
+        (["simulate", "--model", "{model}", "--n", "300", "--omega-st", "105.0",
+          "--l-max", "2"],
+         ["trace.csv", "trace.csv.json", "fading.csv", "crosstalk.csv"]),
+        (["fit", "--trace", "{trace}"],
+         ["acf.csv", "pacf.csv", "model.json", "fit_report.json", "diagnostics.json"]),
+        (["fit", "--trace", "{trace}", "--scan", "2", "2", "--fix-c"],
+         ["acf.csv", "pacf.csv", "scan.csv", "model.json", "fit_report.json",
+          "diagnostics.json"]),
+        (["analyze", "--fading", "{fading}", "--trace", "{trace}"],
+         ["rld.csv", "pdf.csv", "summary.json"]),
+        (["crosstalk", "--trace", "{trace}", "--omega-st", "105.0"], ["crosstalk.csv"]),
+        (["compare", "--model", "{model}", "--gamma", "0.7", "--n", "300",
+          "--seeds", "2"], ["rld_arma.csv", "rld_memoryless.csv", "comparison.json"]),
+        (FRAMES + ["--pixel-pitch", "1e-5"], ["trace.csv", "trace.csv.json"]),
+    ], ids=["theory", "theory_csv", "simulate", "simulate_l_max", "fit", "fit_scan",
+            "analyze", "crosstalk", "compare", "ingest"])
+    def test_outputs(self, tmp_path, capsys, inputs, argv, outputs):
+        code, out = run(tmp_path, *fill(argv, inputs))
+        assert code == 0, capsys.readouterr().err
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["outputs"] == outputs
+        assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
+        for name in outputs:
+            if name.endswith(".json"):
+                strict_json(out / name)
 
 
 class TestManifest:

@@ -284,7 +284,7 @@ class TestFrameFiles:
         frames = [gaussian_frame(24 + rng.normal(), 24 + rng.normal())
                   for _ in range(200)]
         tr = centroid_trace(frames, 1 / 300)
-        rep = arma.fit_css(tr.xs, 1, 0, sample_period=tr.sample_period)
+        rep = arma.fit_css(tr.xs, 1, 0)
         assert rep.converged
 
 

@@ -185,8 +185,6 @@ class TestLinkParamsInvariants:
         dict(cn2=1e-14, L=100, omega0=0.01, theta0=1.5),
         dict(cn2=1e-14, L=100, omega0=0.01, theta0=-0.5),
         dict(cn2=1e-14, L=100, omega0=0.01, kappa0=-1),
-        dict(cn2=1e-14, L=100, omega0=0.01, wind_speed=-1),
-        dict(cn2=1e-14, L=100, omega0=0.01, r0=0.0),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
