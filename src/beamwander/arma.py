@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -579,6 +579,8 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
     series' `_long_ar` stage; it is called after the checks, and only when
     p + q > 0."""
     n = x.size
+    if p < 0 or q < 0:
+        raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     if n <= 10 * (p + q + 1):

@@ -33,16 +33,16 @@ FADING_HEADER = ["t_s", "intensity"]
 
 def _acf_table(result: stats.AcfResult) -> tuple:
     return (["lag", "value", "bound"],
-            [result.lags, result.values,
+            [np.arange(result.values.size), result.values,
              np.full(result.values.size, float(result.significance_bound))])
 
 
-def _rld_table(rld: stats.RunLengthDistribution) -> tuple:
-    above, below = sorted(rld.above), sorted(rld.below)
+def _rld_table(above, below) -> tuple:
+    """Each side's distinct run lengths, ascending, with their counts."""
+    (ka, ca), (kb, cb) = (np.unique(side, return_counts=True) for side in (above, below))
     return (["side", "run_length", "count"],
-            [["above"] * len(above) + ["below"] * len(below),
-             above + below,
-             [rld.above[k] for k in above] + [rld.below[k] for k in below]])
+            [["above"] * ka.size + ["below"] * kb.size,
+             np.concatenate([ka, kb]), np.concatenate([ca, cb])])
 
 
 def _crosstalk_table(t, r_norm, weights) -> tuple:
@@ -81,6 +81,9 @@ def cmd_theory(args) -> dict:
         result["omega_lt"] = theory.long_term_beam_size(args.omega_st, result["rc_var"])
     if args.r0 is not None:
         result["greenwood_hz"] = theory.greenwood_frequency(args.wind, args.r0)
+    overflowed = [k for k, v in result.items() if not math.isfinite(v)]
+    if overflowed:
+        raise ValueError(f"result not finite: {', '.join(overflowed)}")
     print(json.dumps(result, indent=2))
     if args.format == "csv":
         return {"theory.csv": (["quantity", "value"], list(zip(*sorted(result.items()))))}
@@ -89,8 +92,8 @@ def cmd_theory(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     model = _load_model(args.model)
-    if args.n <= 0:
-        raise ValueError("n must be positive")
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     seed_x, seed_y = _axis_seeds(args.seed, 2)
     xs = arma.simulate(model, args.n, seed=seed_x)
     ys = arma.simulate(model, args.n, seed=seed_y)
@@ -130,7 +133,8 @@ def cmd_fit(args) -> dict:
     artifacts["fit_report.json"] = {
         "p": model.p, "q": model.q, "n": report.n, "css": report.css,
         "loglik": report.loglik, "aic": report.aic, "bic": report.bic,
-        "stderr": report.stderr, "converged": report.converged,
+        "stderr": [v if math.isfinite(v) else None for v in report.stderr],
+        "converged": report.converged,
         "iterations": report.iterations, "stationary": report.stationary,
         "invertible": report.invertible, "estimate_c": estimate_c,
     }
@@ -154,7 +158,7 @@ def cmd_analyze(args) -> dict:
     if not math.isfinite(threshold):
         raise ValueError("--threshold must be 'mean' or a finite number, "
                          f"got {args.threshold!r}")
-    rld = stats.run_length_distribution(intens, threshold)
+    above, below = stats.run_length_distribution(intens, threshold)
     edges, density = stats.empirical_pdf(intens, args.bins)
     summary = {
         "n": int(intens.size),
@@ -162,8 +166,8 @@ def cmd_analyze(args) -> dict:
         "mean_intensity": float(np.mean(intens)),
         "scintillation_index": stats.scintillation_index(intens),
         "scintillation_index_sqrt": float(np.sqrt(stats.scintillation_index(intens))),
-        "max_run_length_above": rld.max_run_length("above"),
-        "max_run_length_below": rld.max_run_length("below"),
+        "max_run_length_above": int(above.max(initial=0)),
+        "max_run_length_below": int(below.max(initial=0)),
     }
     positive = intens[(intens > 0) & (intens <= 1)]
     if positive.size >= 10 and np.any(positive < 1):
@@ -171,7 +175,7 @@ def cmd_analyze(args) -> dict:
     if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)
     print(json.dumps(summary, indent=2))
-    return {"rld.csv": _rld_table(rld),
+    return {"rld.csv": _rld_table(above, below),
             "pdf.csv": (["bin_left", "bin_right", "density"],
                         [edges[:-1], edges[1:], density]),
             "summary.json": summary}
@@ -193,7 +197,7 @@ def cmd_compare(args) -> dict:
     if args.seeds <= 0:
         raise ValueError("seeds must be positive")
     per_seed = []
-    rlds_arma, rlds_mem = [], []
+    runs_arma, runs_mem = [], []
     arma_wins = 0
     stream_seeds = _axis_seeds(args.seed, 3 * args.seeds)
     for i in range(args.seeds):
@@ -202,32 +206,30 @@ def cmd_compare(args) -> dict:
         ys = arma.simulate(model, args.n, seed=sy)
         fad = channel.fading_trace(xs, ys, args.omega_st)
         mem = channel.memoryless_sample(args.gamma, args.n, seed=sm)
-        rld_a = stats.run_length_distribution(fad, float(np.mean(fad)))
-        rld_m = stats.run_length_distribution(mem, float(np.mean(mem)))
-        rlds_arma.append(rld_a)
-        rlds_mem.append(rld_m)
-        max_a, max_m = rld_a.max_run_length(), rld_m.max_run_length()
+        run_a = stats.run_length_distribution(fad, float(np.mean(fad)))
+        run_m = stats.run_length_distribution(mem, float(np.mean(mem)))
+        runs_arma.append(run_a)
+        runs_mem.append(run_m)
+        max_a, max_m = (int(np.concatenate(r).max()) for r in (run_a, run_m))
         arma_wins += int(max_a > max_m)
         per_seed.append({"seed_index": i, "arma_max_run": max_a,
                          "memoryless_max_run": max_m})
-    pooled_arma = stats.pool_run_lengths(rlds_arma)
-    pooled_mem = stats.pool_run_lengths(rlds_mem)
+    pooled_arma = [np.concatenate(side) for side in zip(*runs_arma)]
+    pooled_mem = [np.concatenate(side) for side in zip(*runs_mem)]
     tail = args.tail_length
     comparison = {
         "n": args.n, "seeds": args.seeds, "gamma": args.gamma,
         "omega_st": args.omega_st,
         "arma_longer_max_run_count": arma_wins,
         "tail_length": tail,
-        "arma_tail_count": sum(v for k, v in pooled_arma.above.items() if k >= tail)
-        + sum(v for k, v in pooled_arma.below.items() if k >= tail),
-        "memoryless_tail_count": sum(v for k, v in pooled_mem.above.items() if k >= tail)
-        + sum(v for k, v in pooled_mem.below.items() if k >= tail),
+        "arma_tail_count": sum(int((side >= tail).sum()) for side in pooled_arma),
+        "memoryless_tail_count": sum(int((side >= tail).sum()) for side in pooled_mem),
         "per_seed": per_seed,
     }
     print(json.dumps({k: v for k, v in comparison.items() if k != "per_seed"},
                      indent=2))
-    return {"rld_arma.csv": _rld_table(pooled_arma),
-            "rld_memoryless.csv": _rld_table(pooled_mem),
+    return {"rld_arma.csv": _rld_table(*pooled_arma),
+            "rld_memoryless.csv": _rld_table(*pooled_mem),
             "comparison.json": comparison}
 
 

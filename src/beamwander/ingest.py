@@ -143,10 +143,15 @@ def write_csv(path: str, header: list[str], columns) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write obj as JSON indented by 2, with a final newline."""
+    """Write obj as strict JSON indented by 2, with a final newline. A NaN
+    or infinity in obj raises one ValueError naming path, before the file
+    is opened."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path: str):

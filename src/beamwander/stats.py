@@ -1,14 +1,13 @@
 """Time-series and fading statistics.
 
 ACF/PACF with 95% significance bounds, radial variance of a wander
-trace, run-length distributions of thresholded intensity traces,
-scintillation index and normalized empirical PDFs.
+trace, run lengths above and below an intensity threshold as two int
+arrays, scintillation index and normalized empirical PDFs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +19,8 @@ class AcfResult:
     significance_bound is the 95% white-noise band 1.96/sqrt(n).
     """
 
-    lags: np.ndarray
     values: np.ndarray
     significance_bound: float
-
-
-@dataclass
-class RunLengthDistribution:
-    """Histogram of maximal run lengths above/below an intensity threshold.
-
-    Samples >= threshold count as "above". The run lengths weighted by
-    their counts sum to the total sample count.
-    """
-
-    threshold: float
-    above: dict[int, int] = field(default_factory=dict)
-    below: dict[int, int] = field(default_factory=dict)
-
-    def total_samples(self) -> int:
-        return (sum(k * v for k, v in self.above.items())
-                + sum(k * v for k, v in self.below.items()))
-
-    def max_run_length(self, side: str | None = None) -> int:
-        if side == "above":
-            return max(self.above, default=0)
-        if side == "below":
-            return max(self.below, default=0)
-        return max(self.max_run_length("above"), self.max_run_length("below"))
 
 
 def acf(series, max_lag: int) -> AcfResult:
@@ -68,8 +42,7 @@ def acf(series, max_lag: int) -> AcfResult:
     vals[0] = 1.0
     for k in range(1, max_lag + 1):
         vals[k] = float(np.dot(xc[:-k], xc[k:])) / denom
-    return AcfResult(lags=np.arange(max_lag + 1), values=vals,
-                     significance_bound=1.96 / np.sqrt(n))
+    return AcfResult(values=vals, significance_bound=1.96 / np.sqrt(n))
 
 
 def pacf(series, max_lag: int) -> AcfResult:
@@ -94,8 +67,7 @@ def pacf(series, max_lag: int) -> AcfResult:
         phi[k - 1] = phi_kk
         pac[k] = phi_kk
         phi_prev = phi
-    return AcfResult(lags=r.lags, values=pac,
-                     significance_bound=r.significance_bound)
+    return AcfResult(values=pac, significance_bound=r.significance_bound)
 
 
 def radial_variance(xs, ys) -> float:
@@ -113,32 +85,17 @@ def radial_variance(xs, ys) -> float:
     return float(np.mean((x - x.mean()) ** 2 + (y - y.mean()) ** 2))
 
 
-def run_length_distribution(series, threshold: float) -> RunLengthDistribution:
-    """Partition a trace into maximal runs >= threshold (above) or
-    < threshold (below) and count run lengths per side."""
+def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the maximal runs >= threshold (above) and
+    < threshold (below), as two int arrays in time order. Together they
+    sum to the series length."""
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be non-empty")
     above = x >= threshold
     starts = np.concatenate(([0], np.flatnonzero(above[1:] != above[:-1]) + 1))
     lengths = np.diff(starts, append=x.size)
-    rld = RunLengthDistribution(threshold=float(threshold))
-    for side, runs in ((rld.above, lengths[above[starts]]),
-                       (rld.below, lengths[~above[starts]])):
-        values, counts = np.unique(runs, return_counts=True)
-        side.update(zip(values.tolist(), counts.tolist()))
-    return rld
-
-
-def pool_run_lengths(rlds) -> RunLengthDistribution:
-    """Sum the per-side counts of several distributions. The inputs may
-    have different thresholds, so the pooled threshold is NaN."""
-    above, below = Counter(), Counter()
-    for rld in rlds:
-        above.update(rld.above)
-        below.update(rld.below)
-    return RunLengthDistribution(threshold=float("nan"), above=dict(above),
-                                 below=dict(below))
+    return lengths[above[starts]], lengths[~above[starts]]
 
 
 def scintillation_index(intensities) -> float:

@@ -167,17 +167,17 @@ def test_criterion_07_acf_significance_bound():
 def test_criterion_08_fading_memory():
     t0 = time.perf_counter()
     wins = 0
-    pooled_mem = {}
+    runs_mem = []
     for seed in SEEDS:
         xs, ys = simulate_pair(seed, 3000)
         fad = channel.fading_trace(xs, ys, OMEGA_GAMMA07)
         mem = channel.memoryless_sample(GAMMA, 3000, seed=10_000 + seed)
-        rld_a = stats.run_length_distribution(fad, float(np.mean(fad)))
-        rld_m = stats.run_length_distribution(mem, float(np.mean(mem)))
-        wins += int(rld_a.max_run_length() > rld_m.max_run_length())
-        for side in (rld_m.above, rld_m.below):
-            for k, v in side.items():
-                pooled_mem[k] = pooled_mem.get(k, 0) + v
+        run_a = stats.run_length_distribution(fad, float(np.mean(fad)))
+        run_m = stats.run_length_distribution(mem, float(np.mean(mem)))
+        wins += int(np.concatenate(run_a).max() > np.concatenate(run_m).max())
+        runs_mem.extend(run_m)
+    ks, counts = np.unique(np.concatenate(runs_mem), return_counts=True)
+    pooled_mem = dict(zip(ks.tolist(), counts.tolist()))
     # geometric law => pooled counts decay monotonically where populated
     lengths = sorted(k for k, v in pooled_mem.items() if v >= 30)
     monotone = all(pooled_mem[a] >= pooled_mem[b]

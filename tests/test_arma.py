@@ -346,6 +346,11 @@ class TestFitCss:
         with pytest.raises(ValueError):
             fit_css(np.zeros(30), 2, 2)
 
+    def test_negative_order_rejected(self):
+        x = np.random.default_rng(13).normal(size=1000)
+        with pytest.raises(ValueError, match="p and q must be >= 0, got p=-1, q=2"):
+            fit_css(x, -1, 2)
+
     def test_nonfinite_rejected(self):
         x = np.ones(1000)
         x[3] = np.nan

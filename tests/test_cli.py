@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from beamwander import arma
+from beamwander import arma, channel, cli
 from beamwander.cli import main
 
 TABLE_MODEL = {
@@ -75,6 +75,12 @@ class TestTheory:
         code, out = run(tmp_path, "theory", "--cn2", "1e-14", "--L", "1000",
                         "--omega0", "0.02", *argv)
         failed_cleanly(code, out, capsys, named)
+
+    def test_overflow_fails_cleanly(self, tmp_path, capsys):
+        code, out = run(tmp_path, "theory", "--cn2", "1e10", "--L", "1e100",
+                        "--omega0", "0.01", "--omega-st", "1")
+        failed_cleanly(code, out, capsys, "rc_var_general", "omega_lt")
+        assert capsys.readouterr().out == ""
 
 
 class TestSimulate:
@@ -188,6 +194,15 @@ class TestFit:
         assert "error: " in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_singular_covariance_writes_null_stderr(self, tmp_path, capsys, inputs,
+                                                   monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        code, out = run(tmp_path, "fit", "--trace", inputs["trace"])
+        assert code == 0, capsys.readouterr().err
+        assert strict_json(out / "fit_report.json")["stderr"] == [None] * 5
+
     def test_too_short_leaves_no_artifacts(self, tmp_path, capsys):
         trace = tmp_path / "short.csv"
         rows = ["t_s,x,y"] + [f"{i * 0.01},{(i * 7) % 5},1.0" for i in range(40)]
@@ -214,6 +229,18 @@ class TestAnalyze:
         assert summary["max_run_length_below"] == 3
         assert "gamma_hat" not in summary  # only 6 samples
         assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
+
+    def test_zero_threshold_all_above(self, tmp_path):
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{0.2 + 0.1 * (i % 5)}\n" for i in range(12)))
+        code, out = run(tmp_path, "analyze", "--fading", str(fading),
+                        "--threshold", "0")
+        assert code == 0
+        assert read_lines(out / "rld.csv") == ["side,run_length,count", "above,12,1"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["max_run_length_above"] == 12
+        assert summary["max_run_length_below"] == 0
 
     def rejected_at_line(self, tmp_path, capsys, rows, line):
         fading = tmp_path / "fading.csv"
@@ -304,6 +331,49 @@ class TestCompare:
                          sub="b")
         assert (out1 / "comparison.json").read_bytes() == \
             (out2 / "comparison.json").read_bytes()
+
+    def test_tables_match_loop_count(self, tmp_path, model_path):
+        n, omega_st, tail = 600, 105.21191045333147, 8
+        code, out = run(tmp_path, "--seed", "3", "compare", "--model", model_path,
+                        "--gamma", "0.7", "--n", str(n), "--seeds", "3",
+                        "--omega-st", str(omega_st), "--tail-length", str(tail))
+        assert code == 0
+        model = arma.ArmaModel.from_dict(TABLE_MODEL)
+        seeds = cli._axis_seeds(3, 9)
+        counts = {key: {"above": {}, "below": {}} for key in ("arma", "memoryless")}
+        per_seed = []
+        for i in range(3):
+            sx, sy, sm = seeds[3 * i:3 * i + 3]
+            traces = {"arma": channel.fading_trace(arma.simulate(model, n, seed=sx),
+                                                   arma.simulate(model, n, seed=sy),
+                                                   omega_st),
+                      "memoryless": channel.memoryless_sample(0.7, n, seed=sm)}
+            longest = {}
+            for key, series in traces.items():
+                threshold = float(np.mean(series))
+                runs = []  # [side, length] of each maximal run, in time order
+                for v in series.tolist():
+                    side = "above" if v >= threshold else "below"
+                    if runs and runs[-1][0] == side:
+                        runs[-1][1] += 1
+                    else:
+                        runs.append([side, 1])
+                for side, length in runs:
+                    counts[key][side][length] = counts[key][side].get(length, 0) + 1
+                longest[key] = max(length for _, length in runs)
+            per_seed.append({"seed_index": i, "arma_max_run": longest["arma"],
+                             "memoryless_max_run": longest["memoryless"]})
+        for key in counts:
+            want = ["side,run_length,count"] + [
+                f"{side},{length},{c}" for side in ("above", "below")
+                for length, c in sorted(counts[key][side].items())]
+            assert read_lines(out / f"rld_{key}.csv") == want
+        comp = json.loads((out / "comparison.json").read_text())
+        assert comp["per_seed"] == per_seed
+        for key in counts:
+            assert comp[f"{key}_tail_count"] == sum(
+                c for side in counts[key].values() for length, c in side.items()
+                if length >= tail)
 
 
 class TestIngest:
@@ -496,11 +566,17 @@ class TestOptionRange:
         (FRAMES + ["--threshold-fraction", "nan"], "--threshold-fraction "),
         (FRAMES + ["--threshold-fraction", "2"], "threshold_fraction must lie in [0, 1]"),
         (FRAMES + ["--pixel-pitch", "-1"], "pixel_pitch must be positive"),
+        (["fit", "--trace", "{trace}", "--p", "-1"], "p and q must be >= 0, got p=-1"),
+        (["fit", "--trace", "{trace}", "--p", "1", "--q", "-2"],
+         "p and q must be >= 0, got p=1, q=-2"),
+        (["simulate", "--model", "{model}", "--n", "1", "--omega-st", "105.0"],
+         "--n must be >= 2, got 1"),
     ], ids=["theory_cn2", "theory_L", "theory_omega0", "theory_kappa0",
             "theory_wind", "theory_r0", "theory_omega_st", "simulate_omega_st",
             "crosstalk_omega_st", "compare_omega_st", "compare_gamma",
             "analyze_threshold_nan", "analyze_threshold_word",
-            "ingest_threshold_nan", "ingest_threshold_2", "ingest_pitch"])
+            "ingest_threshold_nan", "ingest_threshold_2", "ingest_pitch",
+            "fit_p_negative", "fit_q_negative", "simulate_n_one"])
     def test_rejected(self, tmp_path, capsys, inputs, argv, named):
         code, out = run(tmp_path, *fill(argv, inputs))
         failed_cleanly(code, out, capsys, named)

@@ -1,5 +1,5 @@
 """Start-up cost: no command imports scipy.signal, and only the fit
-imports scipy.linalg.
+imports scipy.linalg. Every name a package module imports is used.
 
 Importing scipy.signal takes longer than most commands' own work, so
 `import beamwander.cli` loads no scipy module, and theory, analyze,
@@ -8,6 +8,8 @@ crosstalk command or simulate --l-max, loads scipy.special; fit loads
 scipy.linalg for its banded LAPACK solve. No command loads scipy.signal.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -101,3 +103,17 @@ def test_only_fit_loads_linalg(loaded):
     assert "scipy.linalg" in loaded["fit"]
     assert [name for name, mods in loaded.items()
             if "scipy.linalg" in mods] == ["fit"]
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))),
+                         ids=os.path.basename)
+def test_every_imported_name_is_used(path):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

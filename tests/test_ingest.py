@@ -365,6 +365,12 @@ class TestCsvIO:
         reference_csv(str(tmp_path / "ref.csv"), header, columns)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_write_json_refuses_non_finite(self, tmp_path):
+        path = str(tmp_path / "out.json")
+        with pytest.raises(ValueError, match="^" + path):
+            ingest.write_json(path, {"rc_var": float("inf")})
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_value_line_named(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t_s,x,y\n0.0,1,2\n\n0.01,1,inf\n")

@@ -10,19 +10,19 @@ from beamwander import arma, channel, stats
 
 
 def loop_run_lengths(x, threshold):
-    """Plain-loop reference: (above, below) run-length counts, closing a
-    run at each change of side."""
+    """Plain-loop reference: (above, below) run lengths in time order,
+    closing a run at each change of side."""
     sides = [v >= threshold for v in x.tolist()]
-    counts = {True: {}, False: {}}
+    runs = {True: [], False: []}
     state, length = sides[0], 0
     for side in sides:
         if side == state:
             length += 1
         else:
-            counts[state][length] = counts[state].get(length, 0) + 1
+            runs[state].append(length)
             state, length = side, 1
-    counts[state][length] = counts[state].get(length, 0) + 1
-    return counts[True], counts[False]
+    runs[state].append(length)
+    return runs[True], runs[False]
 
 
 class TestAcf:
@@ -109,40 +109,37 @@ class TestRadialVariance:
 
 class TestRunLengthDistribution:
     def test_hand_example(self):
-        rld = stats.run_length_distribution([1, 1, 0, 0, 0, 1], 0.5)
-        assert rld.above == {2: 1, 1: 1}
-        assert rld.below == {3: 1}
+        above, below = stats.run_length_distribution([1, 1, 0, 0, 0, 1], 0.5)
+        assert above.dtype.kind == below.dtype.kind == "i"
+        assert above.tolist() == [2, 1]
+        assert below.tolist() == [3]
 
     def test_all_above(self):
-        rld = stats.run_length_distribution(np.ones(17), 0.5)
-        assert rld.above == {17: 1}
-        assert rld.below == {}
+        above, below = stats.run_length_distribution(np.ones(17), 0.5)
+        assert above.tolist() == [17]
+        assert below.tolist() == []
 
     def test_threshold_tie_counts_above(self):
-        rld = stats.run_length_distribution([0.5, 0.4], 0.5)
-        assert rld.above == {1: 1}
-        assert rld.below == {1: 1}
+        above, below = stats.run_length_distribution([0.5, 0.4], 0.5)
+        assert above.tolist() == [1]
+        assert below.tolist() == [1]
 
     def test_sample_conservation(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = rng.integers(1, 500)
             x = rng.uniform(size=n)
-            rld = stats.run_length_distribution(x, float(x.mean()))
-            assert rld.total_samples() == n
+            above, below = stats.run_length_distribution(x, float(x.mean()))
+            assert above.sum() + below.sum() == n
 
     def test_memoryless_geometric_decay(self):
         # i.i.d. intensities produce geometric run lengths: pooled counts
         # decay monotonically while statistically meaningful
-        pooled: dict[int, int] = {}
+        runs = []
         for seed in range(10):
             tr = channel.memoryless_sample(0.7, 3000, seed=seed)
-            rld = stats.run_length_distribution(tr, float(tr.mean()))
-            for side in (rld.above, rld.below):
-                for k, v in side.items():
-                    pooled[k] = pooled.get(k, 0) + v
-        ks = sorted(pooled)
-        counts = [pooled[k] for k in ks]
+            runs.extend(stats.run_length_distribution(tr, float(tr.mean())))
+        counts = np.unique(np.concatenate(runs), return_counts=True)[1].tolist()
         solid = [c for c in counts if c >= 20]
         assert all(a >= b for a, b in zip(solid, solid[1:]))
 
@@ -155,18 +152,9 @@ class TestRunLengthDistribution:
                         elements=st.sampled_from([0.0, 1.0, 2.0, math.nan])),
            threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
     def test_matches_loop_reference(self, x, threshold):
-        rld = stats.run_length_distribution(x, threshold)
-        assert rld.total_samples() == x.size
-        assert (rld.above, rld.below) == loop_run_lengths(x, threshold)
-
-    def test_pool_sums_counts(self):
-        a = stats.run_length_distribution([1, 1, 0, 0, 0, 1], 0.5)
-        b = stats.run_length_distribution([0, 1, 1, 0], 0.5)
-        pooled = stats.pool_run_lengths([a, b])
-        assert pooled.above == {1: 1, 2: 2}
-        assert pooled.below == {1: 2, 3: 1}
-        assert math.isnan(pooled.threshold)
-        assert pooled.total_samples() == 10
+        above, below = stats.run_length_distribution(x, threshold)
+        assert above.sum() + below.sum() == x.size
+        assert (above.tolist(), below.tolist()) == loop_run_lengths(x, threshold)
 
 
 class TestScintillationIndex:
