@@ -5,10 +5,15 @@ The process is
     x_t = c + sum_i M_i x_{t-i} + sum_j N_j e_{t-j} + e_t,
 
 with e_t zero-mean Gaussian white noise of variance sigma2. The module
-covers validation (stationarity/invertibility via polynomial roots),
-seeded simulation, conditional-least-squares fitting with a Gauss-Newton
+covers stability (`ArmaModel.stationary` and `.invertible`), seeded
+simulation, conditional-least-squares fitting with a Gauss-Newton
 optimizer, AIC/BIC order selection over a grid, and residual whiteness
 diagnostics.
+
+One rule decides stability: the Schur-Cohn step-down of
+`_outside_unit_circle`, which also confines the fit to the invertible
+region. `root_moduli` (np.roots) only reports the roots, for error
+messages and tests; it decides nothing.
 
 Two filters serve it. Simulation runs the forward recursion
 theta(B)/phi(B) once per series in `_recurse`, with numpy alone. The fit
@@ -129,6 +134,16 @@ class ArmaModel:
         """theta(z) = 1 + N_1 z + ... + N_q z^q, ascending powers."""
         return np.concatenate(([1.0], np.asarray(self.ma, dtype=float)))
 
+    @property
+    def stationary(self) -> bool:
+        """Every root of phi(z) lies strictly outside the unit circle."""
+        return _outside_unit_circle(self.ar_poly())
+
+    @property
+    def invertible(self) -> bool:
+        """Every root of theta(z) lies strictly outside the unit circle."""
+        return _outside_unit_circle(self.ma_poly())
+
     def to_dict(self) -> dict:
         return {"c": self.c, "ar": list(self.ar), "ma": list(self.ma),
                 "sigma2": self.sigma2, "sample_period_s": self.sample_period,
@@ -169,14 +184,6 @@ class ArmaModel:
 
 
 @dataclass
-class ValidationReport:
-    stationary: bool
-    invertible: bool
-    ar_root_moduli: list[float]
-    ma_root_moduli: list[float]
-
-
-@dataclass
 class FitReport:
     model: ArmaModel
     n: int
@@ -187,20 +194,6 @@ class FitReport:
     stderr: list[float]
     converged: bool
     iterations: int
-    stationary: bool
-    invertible: bool
-
-
-@dataclass
-class ResidualDiagnostics:
-    acf: np.ndarray
-    significance_bound: float
-    ljung_box_q: float
-    ljung_box_df: int
-    ljung_box_critical: float
-    skewness: float
-    excess_kurtosis: float
-    passed: bool
 
 
 @dataclass
@@ -213,27 +206,27 @@ class ScanResult:
     fits: dict[tuple[int, int], FitReport]
 
 
-def _root_moduli(poly_ascending: np.ndarray) -> list[float]:
-    # np.roots wants descending powers; strip the constant-only case.
-    coeffs = np.asarray(poly_ascending, dtype=float)
+def _outside_unit_circle(poly) -> bool:
+    """True when every root of the monic polynomial poly (ascending powers,
+    poly[0] == 1) lies strictly outside the unit circle: the Schur-Cohn
+    step-down recursion on the reversed polynomial keeps every reflection
+    coefficient inside (-1, 1)."""
+    a = [float(v) for v in poly]
+    while len(a) > 1:
+        k = a[-1]
+        if not abs(k) < 1.0:
+            return False
+        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
+    return True
+
+
+def root_moduli(poly) -> list[float]:
+    """Moduli of the roots of poly (ascending powers), ascending; [] for a
+    constant. A report only: `_outside_unit_circle` decides stability."""
+    coeffs = np.asarray(poly, dtype=float)
     if coeffs.size <= 1:
         return []
-    roots = np.roots(coeffs[::-1])
-    return sorted(float(abs(r)) for r in roots)
-
-
-def validate(model: ArmaModel) -> ValidationReport:
-    """Root moduli of phi(z) and theta(z); the process is stationary
-    (invertible) when every AR (MA) root lies strictly outside the unit
-    circle."""
-    ar_mod = _root_moduli(model.ar_poly())
-    ma_mod = _root_moduli(model.ma_poly())
-    return ValidationReport(
-        stationary=all(m > 1.0 for m in ar_mod),
-        invertible=all(m > 1.0 for m in ma_mod),
-        ar_root_moduli=ar_mod,
-        ma_root_moduli=ma_mod,
-    )
+    return sorted(float(abs(r)) for r in np.roots(coeffs[::-1]))
 
 
 def default_burn_in(p: int, q: int) -> int:
@@ -250,11 +243,12 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    rep = validate(model)
-    if not rep.stationary:
-        raise ValueError(f"model is not stationary (AR root moduli {rep.ar_root_moduli})")
-    if not rep.invertible:
-        raise ValueError(f"model is not invertible (MA root moduli {rep.ma_root_moduli})")
+    if not model.stationary:
+        raise ValueError("model is not stationary "
+                         f"(AR root moduli {root_moduli(model.ar_poly())})")
+    if not model.invertible:
+        raise ValueError("model is not invertible "
+                         f"(MA root moduli {root_moduli(model.ma_poly())})")
     if burn_in is None:
         burn_in = default_burn_in(model.p, model.q)
     if burn_in < 0:
@@ -312,23 +306,10 @@ def _css_residuals(params: np.ndarray, x: np.ndarray, p: int, q: int,
                             np.concatenate(([1.0], ma)), x)
 
 
-def _invertible(ma) -> bool:
-    """True when every root of 1 + N_1 z + ... + N_q z^q lies strictly
-    outside the unit circle: the Schur-Cohn step-down recursion on the
-    reversed polynomial keeps every reflection coefficient inside (-1, 1)."""
-    a = [1.0, *ma]
-    while len(a) > 1:
-        k = a[-1]
-        if not abs(k) < 1.0:
-            return False
-        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
-    return True
-
-
 def _css(params, x, p, q, estimate_c) -> tuple[float, np.ndarray | None]:
     """CSS and residuals at params; (inf, None) outside the invertible
     region or on overflow."""
-    if not _invertible(params[params.size - q:]):
+    if not _outside_unit_circle([1.0, *params[params.size - q:]]):
         return float("inf"), None
     eps = _css_residuals(params, x, p, q, estimate_c)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -532,8 +513,9 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
 
     Minimizes the conditional sum of squared innovations (zero pre-sample
     terms) by damped Gauss-Newton: exact Jacobian, step-halving line
-    search, iteration cap 500, convergence when the relative CSS change
-    drops below 1e-10. The optimizer runs from every start of a fixed,
+    search, iteration cap 500. `converged` means the relative CSS change
+    dropped below 1e-10 or no descent step was left; it does not mean a
+    verified minimum. The optimizer runs from every start of a fixed,
     deterministic set and the lowest CSS wins:
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
@@ -551,12 +533,13 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     from the Gauss-Newton curvature J'J of the objective at the optimum.
 
     The search stays inside the invertible region (every root of theta
-    outside the unit circle), where the zero-pre-sample residuals converge
+    outside the unit circle, by the step-down test that decides
+    `ArmaModel.invertible`), where the zero-pre-sample residuals converge
     to the innovations. Beyond it the CSS has spurious minima: a
     non-invertible MA root just inside the circle, paired with an AR root
     just outside, can lower the CSS by more than the BIC penalty of the
     extra coefficients. A fitted model that violates stationarity is
-    returned with stationary=False, never silently.
+    returned with `report.model.stationary` False, never silently.
 
     The model keeps the default sample_period and units; a caller that
     knows the series' own sets them. A fit that hits the iteration cap
@@ -583,6 +566,9 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
         raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.dot(x, x)):
+            raise ValueError("series overflows: its sum of squares is not finite")
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
@@ -614,12 +600,9 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
         except np.linalg.LinAlgError:
             pass
 
-    model = ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2)
-    rep = validate(model)
-    return FitReport(model=model, n=n, css=css, loglik=loglik, aic=aic,
-                     bic=bic, stderr=stderr, converged=converged,
-                     iterations=iterations, stationary=rep.stationary,
-                     invertible=rep.invertible)
+    return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),
+                     n=n, css=css, loglik=loglik, aic=aic, bic=bic,
+                     stderr=stderr, converged=converged, iterations=iterations)
 
 
 def order_scan(series, p_max: int, q_max: int,
@@ -631,8 +614,10 @@ def order_scan(series, p_max: int, q_max: int,
     (p-1, q) and (p, q-1) neighbors, zero-padded, so the CSS of nested
     models is non-increasing across the grid, and its common-factor starts
     extend the fitted (p-1, q-1) cell. Non-convergent and non-stationary
-    fits are recorded but excluded from selection. Each row carries its
-    AIC too, but only BIC selects. `fits` holds the FitReport of every
+    fits are recorded but excluded from selection. Each fitted cell is
+    invertible by construction (the fit's search stays in that region), so
+    a fitted row's `invertible` is always True. Each row carries its AIC
+    too, but only BIC selects. `fits` holds the FitReport of every
     fitted cell, converged or not, and the selected one is
     `fits[selected_bic]`, the model the scan scored. As in fit_css, the
     models carry no sample period or units.
@@ -660,8 +645,8 @@ def order_scan(series, p_max: int, q_max: int,
                 row["error"] = str(exc)
             else:
                 fitted[(p, q)] = rep
-                row.update(converged=rep.converged, stationary=rep.stationary,
-                           invertible=rep.invertible, aic=rep.aic,
+                row.update(converged=rep.converged, stationary=rep.model.stationary,
+                           invertible=rep.model.invertible, aic=rep.aic,
                            bic=rep.bic, css=rep.css,
                            error=None if rep.converged else "no convergence")
             rows.append(row)
@@ -683,11 +668,12 @@ def chi2_quantile(prob: float, df: int) -> float:
     return df * (1.0 - a + z * math.sqrt(a)) ** 3
 
 
-def diagnose_residuals(res, max_lag: int = 20,
-                       n_model_params: int = 0) -> ResidualDiagnostics:
-    """Whiteness diagnostics for a residual series.
+def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
+    """Whiteness diagnostics for a residual series, as the diagnostics.json
+    object: ljung_box_q, ljung_box_df, ljung_box_critical, skewness,
+    excess_kurtosis, significance_bound (the ACF's 95% band) and passed.
 
-    Computes the residual ACF with its 95% band, the Ljung-Box portmanteau
+    From the residual ACF it computes the Ljung-Box portmanteau
     statistic Q = n(n+2) sum_k rho_k^2/(n-k) with df = max_lag minus the
     number of fitted ARMA coefficients, and sample skewness / excess
     kurtosis. The pass flag requires Q below the chi-square critical value
@@ -707,21 +693,22 @@ def diagnose_residuals(res, max_lag: int = 20,
     z_fw = NormalDist().inv_cdf(1.0 - 0.05 / (2.0 * max_lag))
     fw_bound = z_fw / math.sqrt(n)
     xc = x - x.mean()
-    m2 = float(np.mean(xc**2))
-    skew = float(np.mean(xc**3) / m2**1.5) if m2 > 0 else 0.0
-    exkurt = float(np.mean(xc**4) / m2**2 - 3.0) if m2 > 0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2, m3, m4 = (float(np.mean(xc**k)) for k in (2, 3, 4))
+    if not math.isfinite(m4):
+        raise ValueError("residuals overflow: their fourth moment is not finite")
+    skew = m3 / m2**1.5 if m2 > 0 else 0.0
+    exkurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
     passed = bool(q_stat < crit and np.all(np.abs(rho) < fw_bound))
-    return ResidualDiagnostics(acf=r.values, significance_bound=r.significance_bound,
-                               ljung_box_q=q_stat, ljung_box_df=df,
-                               ljung_box_critical=crit, skewness=skew,
-                               excess_kurtosis=exkurt, passed=passed)
+    return {"ljung_box_q": q_stat, "ljung_box_df": df, "ljung_box_critical": crit,
+            "skewness": skew, "excess_kurtosis": exkurt,
+            "significance_bound": r.significance_bound, "passed": passed}
 
 
 def stationary_variance(model: ArmaModel) -> float:
     """Stationary process variance sigma2 * sum psi_j^2 from the impulse
     response of theta(B)/phi(B), truncated at 20 000 terms."""
-    rep = validate(model)
-    if not rep.stationary:
+    if not model.stationary:
         raise ValueError("model is not stationary")
     impulse = np.zeros(20_000)
     impulse[0] = 1.0

@@ -127,24 +127,18 @@ def cmd_fit(args) -> dict:
         report = arma.fit_css(series, args.p, args.q, estimate_c=estimate_c)
     model = dataclasses.replace(report.model, sample_period=trace.sample_period,
                                 units=trace.units)
-    diag = arma.diagnose_residuals(arma.residuals(model, series), max_lag=args.max_lag,
-                                   n_model_params=model.p + model.q)
     artifacts["model.json"] = model.to_dict()
     artifacts["fit_report.json"] = {
         "p": model.p, "q": model.q, "n": report.n, "css": report.css,
         "loglik": report.loglik, "aic": report.aic, "bic": report.bic,
         "stderr": [v if math.isfinite(v) else None for v in report.stderr],
         "converged": report.converged,
-        "iterations": report.iterations, "stationary": report.stationary,
-        "invertible": report.invertible, "estimate_c": estimate_c,
+        "iterations": report.iterations, "stationary": model.stationary,
+        "invertible": model.invertible, "estimate_c": estimate_c,
     }
-    artifacts["diagnostics.json"] = {
-        "ljung_box_q": diag.ljung_box_q, "ljung_box_df": diag.ljung_box_df,
-        "ljung_box_critical": diag.ljung_box_critical,
-        "skewness": diag.skewness, "excess_kurtosis": diag.excess_kurtosis,
-        "significance_bound": diag.significance_bound,
-        "passed": diag.passed,
-    }
+    artifacts["diagnostics.json"] = arma.diagnose_residuals(
+        arma.residuals(model, series), max_lag=args.max_lag,
+        n_model_params=model.p + model.q)
     return artifacts
 
 

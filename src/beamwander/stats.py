@@ -34,8 +34,11 @@ def acf(series, max_lag: int) -> AcfResult:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag:
         raise ValueError(f"series length {n} must exceed max_lag {max_lag}")
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        denom = float(np.dot(xc, xc))
+    if not np.isfinite(denom):
+        raise ValueError("series overflows: its sum of squares is not finite")
     if denom == 0.0:
         raise ValueError("constant series has zero variance; ACF undefined")
     vals = np.empty(max_lag + 1)

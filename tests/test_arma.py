@@ -10,8 +10,8 @@ from scipy.signal import lfilter
 from beamwander import arma, stats
 from beamwander.arma import (ArmaModel, chi2_quantile, diagnose_residuals,
                              fit_css, information_criteria, order_scan,
-                             residuals, simulate, stationary_variance,
-                             validate)
+                             residuals, root_moduli, simulate,
+                             stationary_variance)
 
 TABLE_MODEL = ArmaModel(c=0.0, ar=[1.759, -0.7626], ma=[-1.289, 0.3166],
                         sigma2=2150.0, sample_period=1 / 300)
@@ -31,24 +31,25 @@ def quadratic_root_moduli(a2, a1):
 
 class TestValidate:
     def test_table_model_roots(self):
-        rep = validate(TABLE_MODEL)
-        assert rep.stationary and rep.invertible
+        assert TABLE_MODEL.stationary and TABLE_MODEL.invertible
+        ar_mod = root_moduli(TABLE_MODEL.ar_poly())
+        ma_mod = root_moduli(TABLE_MODEL.ma_poly())
         ar_expect = quadratic_root_moduli(0.7626, -1.759)
         ma_expect = quadratic_root_moduli(0.3166, -1.289)
-        assert rep.ar_root_moduli == pytest.approx(ar_expect, abs=1e-6)
-        assert rep.ma_root_moduli == pytest.approx(ma_expect, abs=1e-6)
-        assert rep.ar_root_moduli == pytest.approx([1.016260, 1.290323], abs=1e-6)
-        assert rep.ma_root_moduli == pytest.approx([1.042978, 3.028406], abs=1e-6)
+        assert ar_mod == pytest.approx(ar_expect, abs=1e-6)
+        assert ma_mod == pytest.approx(ma_expect, abs=1e-6)
+        assert ar_mod == pytest.approx([1.016260, 1.290323], abs=1e-6)
+        assert ma_mod == pytest.approx([1.042978, 3.028406], abs=1e-6)
 
     def test_white_noise(self):
-        rep = validate(ArmaModel(c=0.0, ar=[], ma=[], sigma2=1.0))
-        assert rep.stationary and rep.invertible
-        assert rep.ar_root_moduli == [] and rep.ma_root_moduli == []
+        model = ArmaModel(c=0.0, ar=[], ma=[], sigma2=1.0)
+        assert model.stationary and model.invertible
+        assert root_moduli(model.ar_poly()) == [] and root_moduli(model.ma_poly()) == []
 
     def test_unit_root(self):
-        rep = validate(ArmaModel(c=0.0, ar=[1.0], ma=[], sigma2=1.0))
-        assert not rep.stationary
-        assert rep.ar_root_moduli == pytest.approx([1.0])
+        model = ArmaModel(c=0.0, ar=[1.0], ma=[], sigma2=1.0)
+        assert not model.stationary
+        assert root_moduli(model.ar_poly()) == pytest.approx([1.0])
 
 
 class TestModelJson:
@@ -326,7 +327,7 @@ class TestFitCss:
         for e, t, s in zip(est, TABLE_TRUTH, rep.stderr):
             assert abs(e - t) <= 3 * s
         assert rep.model.sigma2 == pytest.approx(2150.0, rel=0.20)
-        assert rep.stationary and rep.invertible
+        assert rep.model.stationary and rep.model.invertible
 
     def test_sigma2_positive_and_css_finite(self):
         x = simulate(TABLE_MODEL, 1000, seed=16)
@@ -355,6 +356,11 @@ class TestFitCss:
         x = np.ones(1000)
         x[3] = np.nan
         with pytest.raises(ValueError):
+            fit_css(x, 1, 0)
+
+    def test_overflowing_series_rejected(self):
+        x = np.random.default_rng(13).normal(size=400) * 1e160
+        with pytest.raises(ValueError, match="series overflows: its sum of squares"):
             fit_css(x, 1, 0)
 
     def test_fixed_c(self):
@@ -393,8 +399,8 @@ class TestGlobalMinimum:
         # minima: here a (3,4) with MA root 0.9946 beat (2,2) by 9 BIC units
         x = simulate(TABLE_MODEL, 3000, seed=5)
         rep = fit_css(x, 3, 4, estimate_c=False)
-        assert rep.invertible
-        assert min(validate(rep.model).ma_root_moduli) > 1.0
+        assert rep.model.invertible
+        assert min(root_moduli(rep.model.ma_poly())) > 1.0
 
     def test_deterministic(self):
         x = simulate(TABLE_MODEL, 3000, seed=3)
@@ -419,11 +425,23 @@ class TestEngine:
             assert np.allclose(J[:, i], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
     def test_invertible_matches_roots(self):
+        # the step-down decides; np.roots agrees wherever no root is within
+        # rounding of the unit circle
         rng = np.random.default_rng(27)
+        seen = set()
         for _ in range(2000):
-            ma = rng.normal(size=rng.integers(0, 6)) * rng.uniform(0.1, 2.0)
-            model = ArmaModel(c=0.0, ar=[], ma=list(ma), sigma2=1.0)
-            assert arma._invertible(ma) == validate(model).invertible
+            ar, ma = (list(rng.normal(size=rng.integers(0, 6)) * rng.uniform(0.1, 2.0))
+                      for _ in range(2))
+            model = ArmaModel(c=0.0, ar=ar, ma=ma, sigma2=1.0)
+            for name, poly in (("stationary", model.ar_poly()),
+                               ("invertible", model.ma_poly())):
+                moduli = np.array(root_moduli(poly))
+                if np.any(np.abs(moduli - 1.0) < 1e-9):
+                    continue
+                flag = getattr(model, name)
+                assert flag == bool(np.all(moduli > 1.0))
+                seen.add((name, flag))
+        assert len(seen) == 4  # both outcomes of both properties
 
 
 class TestOrderScan:
@@ -438,7 +456,7 @@ class TestOrderScan:
         scan = order_scan(x, 2, 2)
         p_sel, q_sel = scan.selected_bic
         rep = fit_css(x, p_sel, q_sel)
-        root = min(validate(rep.model).ar_root_moduli)
+        root = min(root_moduli(rep.model.ar_poly()))
         assert root == pytest.approx(1 / 0.9, rel=0.05)
 
     def test_nested_css_monotone_across_grid(self):
@@ -449,6 +467,17 @@ class TestOrderScan:
             for prev in ((p - 1, q), (p, q - 1)):
                 if prev in css and math.isfinite(css[prev]):
                     assert c <= css[prev] * (1 + 1e-9)
+
+    def test_flags_agree_with_search(self):
+        # np.roots puts an MA root of the (4, 4) cell at 0.99999999999983,
+        # inside the circle, while the step-down that confined its search
+        # says outside
+        x = simulate(TABLE_MODEL, 3000, seed=1065)
+        scan = order_scan(x, 4, 4, estimate_c=False)
+        assert all(rep.model.invertible for rep in scan.fits.values())
+        rows = {(r["p"], r["q"]): r for r in scan.rows}
+        assert rows[(4, 4)]["invertible"]
+        assert all(rows[k]["invertible"] for k in scan.fits)
 
     def test_rows_cover_grid(self):
         x = np.random.default_rng(22).normal(size=1000)
@@ -486,22 +515,28 @@ class TestIterationCap:
 
 
 class TestDiagnostics:
-    def test_lag_zero_is_one(self):
-        x = np.random.default_rng(23).normal(size=500)
-        assert diagnose_residuals(x, 10).acf[0] == 1.0
-
     def test_white_noise_passes_mostly(self):
         passes = sum(
-            diagnose_residuals(np.random.default_rng(s).normal(size=3000), 20).passed
+            diagnose_residuals(np.random.default_rng(s).normal(size=3000), 20)["passed"]
             for s in range(20))
         assert passes >= 18
 
     def test_ar1_against_white_model_fails(self):
         model = ArmaModel(c=0.0, ar=[0.9], ma=[], sigma2=1.0)
         x = simulate(model, 3000, seed=24)
-        d = diagnose_residuals(x, 20)
-        assert not d.passed
-        assert abs(d.acf[1]) > 0.8
+        assert not diagnose_residuals(x, 20)["passed"]
+        assert abs(stats.acf(x, 20).values[1]) > 0.8
+
+    def test_returns_diagnostics_json_keys(self):
+        d = diagnose_residuals(np.random.default_rng(23).normal(size=500), 10)
+        assert list(d) == ["ljung_box_q", "ljung_box_df", "ljung_box_critical",
+                           "skewness", "excess_kurtosis", "significance_bound",
+                           "passed"]
+
+    def test_moment_overflow_rejected(self):
+        x = np.random.default_rng(23).normal(size=500) * 1e100
+        with pytest.raises(ValueError, match="fourth moment is not finite"):
+            diagnose_residuals(x, 10)
 
     def test_chi2_quantile_against_scipy(self):
         from scipy.stats import chi2

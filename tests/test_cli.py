@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from beamwander import arma, channel, cli
+import beamwander
+from beamwander import arma, channel, cli, ingest
 from beamwander.cli import main
 
 TABLE_MODEL = {
@@ -209,6 +212,30 @@ class TestFit:
         trace.write_text("\n".join(rows) + "\n")
         code, out = run(tmp_path, "fit", "--trace", str(trace))
         failed_cleanly(code, out, capsys, "series too short")
+
+    @pytest.mark.parametrize("scale, named", [
+        (1e160, "series overflows: its sum of squares is not finite"),
+        (1e100, "residuals overflow: their fourth moment is not finite"),
+    ], ids=["sum_of_squares", "fourth_moment"])
+    def test_overflowing_trace_fails_cleanly(self, tmp_path, scale, named):
+        # in a fresh interpreter: pytest turns warnings into errors, and
+        # LAPACK prints its complaints on the process's own stdout
+        xs, ys = np.random.default_rng(0).normal(size=(2, 400)) * scale
+        trace = tmp_path / "trace.csv"
+        ingest.write_trace(ingest.WanderTrace(xs=xs, ys=ys, sample_period=0.01),
+                           str(trace))
+        out = tmp_path / "out"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamwander.cli", "--out-dir", str(out), "fit",
+             "--trace", str(trace), "--p", "1", "--q", "0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: ValueError: {named}"]
+        assert list(out.iterdir()) == []
 
 
 class TestAnalyze:

@@ -1,5 +1,6 @@
 """Start-up cost: no command imports scipy.signal, and only the fit
-imports scipy.linalg. Every name a package module imports is used.
+imports scipy.linalg. Every name a package module imports is used, and
+one function alone calls np.roots.
 
 Importing scipy.signal takes longer than most commands' own work, so
 `import beamwander.cli` loads no scipy module, and theory, analyze,
@@ -117,3 +118,27 @@ def test_every_imported_name_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _roots_callers(node, where):
+    """The dotted names of the functions under node that call roots()."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where}.{node.name}"
+    found = []
+    if isinstance(node, ast.Call) and "roots" in (getattr(node.func, "attr", None),
+                                                  getattr(node.func, "id", None)):
+        found.append(where)
+    for child in ast.iter_child_nodes(node):
+        found += _roots_callers(child, where)
+    return found
+
+
+def test_roots_called_only_in_root_moduli():
+    # the step-down alone decides stability; np.roots only reports, so a
+    # second call site would be a second stability rule
+    callers = []
+    for path in sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        callers += _roots_callers(tree, os.path.basename(path)[:-3])
+    assert callers == ["arma.root_moduli"]

@@ -56,6 +56,11 @@ class TestAcf:
         with pytest.raises(ValueError):
             stats.acf(np.arange(5.0), 10)
 
+    def test_overflow_rejected(self):
+        x = np.random.default_rng(4).normal(size=400) * 1e160
+        with pytest.raises(ValueError, match="series overflows: its sum of squares"):
+            stats.acf(x, 10)
+
 
 class TestPacf:
     def test_ar1_truncation(self):
