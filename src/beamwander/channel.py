@@ -4,10 +4,13 @@ Maps centroid offsets to received intensity through the Gaussian
 short-term beam profile, provides the memoryless power-law fading
 baseline p(I) = gamma I^(gamma-1) on [0, 1] with its maximum-likelihood
 estimator, and computes the OAM mode spectrum produced by a lateral
-displacement. Every trace in or out is a plain numpy array.
+displacement, with its own numpy Bessel kernel. Every trace in or out
+is a plain numpy array.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,9 +61,55 @@ def oam_spectrum(r_c: float, omega_st: float, l_max: int) -> np.ndarray:
     return crosstalk_trace([r_c], [0.0], omega_st, l_max)[1][0]
 
 
-# largest argument a that scipy's ive (AMOS) evaluates; it returns NaN beyond,
-# at offsets of about 32768 beam radii
+# largest a = r_c^2/omega_st^2 accepted, an offset of about 32768 beam radii: a
+# units sanity bound, as an offset that far out almost always means a trace and
+# omega_st in different units; _ive_rows is accurate up to it
 _IVE_MAX_ARG = (2**31 - 1) / 2
+
+
+def _hankel_from(l_max: int) -> float:
+    """The a above which _ive_rows switches to the large-argument expansion."""
+    return max(1000.0, 8.0 * (l_max + 1) ** 2)
+
+
+def _ive_rows(a: np.ndarray, l_max: int) -> np.ndarray:
+    """e^-a I_l(a) for l = 0..l_max at each a >= 0, as an (n, l_max + 1) array.
+
+    Up to _hankel_from(l_max), Miller's algorithm (Gautschi, SIAM Review 9,
+    1967): the ratios r_k = I_k/I_{k-1} = a/(2k + a r_{k+1}) run backward from
+    r = 0 at k = l_max + 9 sqrt(max a) + 30, where I_k/I_0 ~ exp(-k^2/2a) is
+    far below rounding, and the Neumann sum e^a = I_0 + 2 sum_k I_k, in
+    Horner form T_k = r_k (1 + T_{k+1}), fixes e^-a I_0 = 1/(1 + 2 T_1); then
+    e^-a I_l = e^-a I_0 r_1 ... r_l. Nothing divides by a, a row at a = 0 is
+    exactly [1, 0, ...], and a row sums to at most 1 by construction. Above
+    it, the Hankel expansion (Abramowitz & Stegun 9.7.1) to 40 terms.
+    """
+    out = np.empty((a.size, l_max + 1))
+    big = a > _hankel_from(l_max)
+    s = a[~big]
+    r = np.zeros_like(s)
+    t = np.zeros_like(s)
+    rows = np.empty((s.size, l_max + 1))
+    for k in range(l_max + math.ceil(9.0 * math.sqrt(s.max(initial=0.0))) + 30, 0, -1):
+        # in place: r = s / (2k + s r), t = r (1 + t)
+        np.multiply(s, r, out=r)
+        r += 2.0 * k
+        np.divide(s, r, out=r)
+        t += 1.0
+        t *= r
+        if k <= l_max:
+            rows[:, k] = r
+    rows[:, 0] = 1.0 / (1.0 + 2.0 * t)
+    out[~big] = np.cumprod(rows, axis=1)
+    b = a[big][:, None]
+    mu = 4.0 * np.arange(l_max + 1) ** 2
+    term = np.ones((b.size, l_max + 1))
+    total = term.copy()
+    for k in range(1, 41):
+        term = term * (mu - (2 * k - 1) ** 2) / (-8.0 * k * b)
+        total += term
+    out[big] = total / np.sqrt(2.0 * np.pi * b)
+    return out
 
 
 def crosstalk_trace(xs, ys, omega_st: float, l_max: int):
@@ -68,9 +117,7 @@ def crosstalk_trace(xs, ys, omega_st: float, l_max: int):
 
     r_norm is r_{c,t}/omega_st with r_{c,t}^2 = bx_t^2 + by_t^2, and
     weights[t, l + l_max] is C_l = exp(-a) I_|l|(a), a = r_norm_t^2, for
-    l = -l_max..l_max, from one scipy.special.ive call. scipy.special is
-    imported here so that only crosstalk loads it."""
-    from scipy.special import ive
+    l = -l_max..l_max, from one _ive_rows pass; C_-l is a copy of C_l."""
     if not omega_st > 0:
         raise ValueError("omega_st must be positive")
     if l_max < 0:
@@ -79,13 +126,14 @@ def crosstalk_trace(xs, ys, omega_st: float, l_max: int):
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:
         raise ValueError("xs and ys must have equal length")
-    r_norm = np.sqrt(x**2 + y**2) / omega_st
-    a = r_norm**2
-    beyond = np.flatnonzero(a > _IVE_MAX_ARG)
+    with np.errstate(over="ignore"):  # an overflow is named below, as inf
+        r_norm = np.sqrt(x**2 + y**2) / omega_st
+        a = r_norm**2
+    beyond = np.flatnonzero(~(a <= _IVE_MAX_ARG))
     if beyond.size:
         i = beyond[0]
         raise ValueError(f"sample {i}: offset of {r_norm[i]:.6g} beam radii, "
                          f"beyond the Bessel kernel's {_IVE_MAX_ARG ** 0.5:.6g}; "
                          f"are the trace and omega_st in the same units?")
-    half = ive(np.arange(l_max + 1), a[:, None])  # l = 0..l_max
+    half = _ive_rows(a, l_max)  # l = 0..l_max
     return r_norm, np.concatenate((half[:, :0:-1], half), axis=1)

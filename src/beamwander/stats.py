@@ -85,7 +85,11 @@ def radial_variance(xs, ys) -> float:
         raise ValueError("xs and ys must have equal length")
     if x.size < 2:
         raise ValueError("need at least two samples")
-    return float(np.mean((x - x.mean()) ** 2 + (y - y.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.mean((x - x.mean()) ** 2 + (y - y.mean()) ** 2))
+    if not np.isfinite(v):
+        raise ValueError("trace overflows: its radial variance is not finite")
+    return v
 
 
 def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.ndarray]:

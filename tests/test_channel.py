@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ive
 
 from beamwander import arma, channel, stats
 from beamwander.channel import (crosstalk_trace, estimate_gamma,
@@ -31,6 +32,16 @@ def bessel_i(order, x):
     """I_order(x) from the crosstalk kernel: the weight
     C_order = e^-x I_order(x) at r_c = sqrt(x), omega_st = 1, times e^x."""
     return oam_spectrum(math.sqrt(x), 1.0, order)[2 * order] * math.exp(x)
+
+
+def kernel_grid(l_max):
+    """a = 0 and a log grid from the smallest subnormal to the units bound,
+    with points on both sides of the kernel's switch to the Hankel expansion."""
+    switch = channel._hankel_from(l_max)
+    return np.concatenate((
+        [0.0], np.geomspace(5e-324, channel._IVE_MAX_ARG, 600),
+        [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)],
+        switch * np.array([0.5, 0.9, 0.99, 1.01, 1.1, 2.0])))
 
 
 def ks_statistic(samples, cdf):
@@ -162,6 +173,41 @@ class TestBesselI:
             oam_spectrum(-1.0, 1.0, 0)
 
 
+class TestIveKernel:
+    """channel._ive_rows against scipy.special.ive. scipy flushes values
+    below about 4e-305 to zero where the kernel keeps them (checked against
+    mpmath), hence the absolute tolerance."""
+
+    @pytest.mark.parametrize("l_max", [0, 1, 5, 20, 79])
+    def test_log_grid_matches_scipy(self, l_max):
+        a = kernel_grid(l_max)
+        switch = channel._hankel_from(l_max)
+        assert np.any(a <= switch) and np.any(a > switch)
+        np.testing.assert_allclose(channel._ive_rows(a, l_max),
+                                   ive(np.arange(l_max + 1), a[:, None]),
+                                   rtol=1e-12, atol=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(np.float64, st.integers(1, 8),
+                        elements=st.floats(0.0, channel._IVE_MAX_ARG)),
+           l_max=st.integers(0, 20))
+    def test_random_arguments_match_scipy(self, a, l_max):
+        np.testing.assert_allclose(channel._ive_rows(a, l_max),
+                                   ive(np.arange(l_max + 1), a[:, None]),
+                                   rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 5, 20, 79])
+    def test_exact_at_zero(self, l_max):
+        rows = channel._ive_rows(np.array([0.0, 0.0, 3.0]), l_max)
+        assert rows[:2].tolist() == [[1.0] + [0.0] * l_max] * 2
+
+    @pytest.mark.parametrize("l_max", [0, 1, 5, 20, 79])
+    def test_rows_sum_to_at_most_one(self, l_max):
+        a = kernel_grid(l_max)
+        _, weights = crosstalk_trace(np.sqrt(a), np.zeros_like(a), 1.0, l_max)
+        assert np.all(weights.sum(axis=1) <= 1.0 + 1e-12)
+
+
 class TestOamSpectrum:
     def test_perfect_alignment(self):
         spec = oam_spectrum(0.0, 1.0, 5)
@@ -231,7 +277,7 @@ class TestCrosstalkTrace:
     def test_weights_bounded_symmetric_subunit(self, offsets, omega_st, l_max):
         r_norm = np.sqrt(offsets[0] ** 2 + offsets[1] ** 2) / omega_st
         if np.any(r_norm**2 > channel._IVE_MAX_ARG):
-            # beyond scipy's ive range: an error naming the sample, not NaN
+            # beyond the units sanity bound: an error naming the sample, not NaN
             with pytest.raises(ValueError, match="beam radii"):
                 crosstalk_trace(offsets[0], offsets[1], omega_st, l_max)
             return
@@ -244,6 +290,10 @@ class TestCrosstalkTrace:
     def test_offset_beyond_kernel_range_named(self):
         with pytest.raises(ValueError, match="sample 1: offset of 40000 beam radii"):
             crosstalk_trace([0.0, 4e4], [0.0, 0.0], 1.0, 3)
+
+    def test_nan_offset_named(self):
+        with pytest.raises(ValueError, match="sample 1: offset of nan beam radii"):
+            crosstalk_trace([0.0, math.nan], [0.0, 0.0], 1.0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

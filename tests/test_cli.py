@@ -37,6 +37,34 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+def write_overflowing_trace(tmp_path, scale):
+    """A 400-row N(0,1) * scale trace, whose squares overflow at 1e160."""
+    xs, ys = np.random.default_rng(0).normal(size=(2, 400)) * scale
+    trace = tmp_path / "trace.csv"
+    ingest.write_trace(ingest.WanderTrace(xs=xs, ys=ys, sample_period=0.01),
+                       str(trace))
+    return str(trace)
+
+
+def failed_cleanly_fresh(tmp_path, named, *argv):
+    """Runs argv in a fresh interpreter and expects exit 1, no stdout, one
+    `error: ValueError:` line ending in `named`, and no file in the output
+    directory. A fresh interpreter, because pytest turns warnings into
+    errors (which main would print as one line) and LAPACK prints its
+    complaints on the process's own stdout."""
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beamwander.cli", "--out-dir", str(out), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: ValueError: {named}"]
+    assert list(out.iterdir()) == []
+
+
 def failed_cleanly(code, out, capsys, *named):
     """Exit 1, one `error:` line naming each of `named`, and no file in the
     output directory."""
@@ -218,24 +246,9 @@ class TestFit:
         (1e100, "residuals overflow: their fourth moment is not finite"),
     ], ids=["sum_of_squares", "fourth_moment"])
     def test_overflowing_trace_fails_cleanly(self, tmp_path, scale, named):
-        # in a fresh interpreter: pytest turns warnings into errors, and
-        # LAPACK prints its complaints on the process's own stdout
-        xs, ys = np.random.default_rng(0).normal(size=(2, 400)) * scale
-        trace = tmp_path / "trace.csv"
-        ingest.write_trace(ingest.WanderTrace(xs=xs, ys=ys, sample_period=0.01),
-                           str(trace))
-        out = tmp_path / "out"
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "beamwander.cli", "--out-dir", str(out), "fit",
-             "--trace", str(trace), "--p", "1", "--q", "0"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [f"error: ValueError: {named}"]
-        assert list(out.iterdir()) == []
+        failed_cleanly_fresh(tmp_path, named, "fit", "--trace",
+                             write_overflowing_trace(tmp_path, scale),
+                             "--p", "1", "--q", "0")
 
 
 class TestAnalyze:
@@ -300,6 +313,15 @@ class TestAnalyze:
                         "--bins", "1")
         failed_cleanly(code, out, capsys, "bin_count")
 
+    def test_overflowing_trace_fails_cleanly(self, tmp_path):
+        # before anything is written: no warning, no rld.csv or pdf.csv
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{0.5 + 0.01 * (i % 7)}\n" for i in range(50)))
+        failed_cleanly_fresh(tmp_path, "trace overflows: its radial variance is not finite",
+                             "analyze", "--fading", str(fading), "--trace",
+                             write_overflowing_trace(tmp_path, 1e160))
+
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
                      "--n", "20000", "--omega-st", "105.21191045333147",
@@ -334,6 +356,15 @@ class TestCrosstalk:
         assert code == 0
         assert (out / "crosstalk.csv").read_bytes() == \
             (sim / "crosstalk.csv").read_bytes()
+
+
+    def test_overflowing_trace_fails_cleanly(self, tmp_path):
+        # the squared offset overflows to inf without a RuntimeWarning
+        failed_cleanly_fresh(tmp_path, "sample 0: offset of inf beam radii, beyond the "
+                             "Bessel kernel's 32768; are the trace and omega_st in the "
+                             "same units?",
+                             "crosstalk", "--trace", write_overflowing_trace(tmp_path, 1e160),
+                             "--omega-st", "1.0")
 
 
 class TestCompare:

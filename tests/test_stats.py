@@ -111,6 +111,11 @@ class TestRadialVariance:
         with pytest.raises(ValueError):
             stats.radial_variance([1, 2], [1, 2, 3])
 
+    def test_overflow_rejected(self):
+        xs, ys = np.random.default_rng(4).normal(size=(2, 400)) * 1e160
+        with pytest.raises(ValueError, match="trace overflows: its radial variance"):
+            stats.radial_variance(xs, ys)
+
 
 class TestRunLengthDistribution:
     def test_hand_example(self):
