@@ -32,7 +32,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .stats import acf as _acf
+from .stats import acf as _acf, significance_bound
 
 GENERATOR_NAME = "numpy.random.PCG64"
 
@@ -194,16 +194,6 @@ class FitReport:
     stderr: list[float]
     converged: bool
     iterations: int
-
-
-@dataclass
-class ScanResult:
-    """Order-scan outcome: one row per (p, q), the BIC argmin, and the
-    FitReport of every cell that produced one."""
-
-    rows: list[dict]
-    selected_bic: tuple[int, int]
-    fits: dict[tuple[int, int], FitReport]
 
 
 def _outside_unit_circle(poly) -> bool:
@@ -605,9 +595,11 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
                      stderr=stderr, converged=converged, iterations=iterations)
 
 
-def order_scan(series, p_max: int, q_max: int,
-               estimate_c: bool = True) -> ScanResult:
-    """Fit every (p, q) on the grid and select the BIC argmin.
+def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple:
+    """Fit every (p, q) on the grid and select the BIC argmin, returned as
+    (rows, fits, selected): one row dict per (p, q) in grid order, the
+    FitReport of every fitted cell keyed by (p, q), and the (p, q) of the
+    BIC argmin.
 
     Grid cells are fitted in increasing order. Besides the starts of
     fit_css, each cell is warm-started from the lower-CSS of its fitted
@@ -617,10 +609,9 @@ def order_scan(series, p_max: int, q_max: int,
     fits are recorded but excluded from selection. Each fitted cell is
     invertible by construction (the fit's search stays in that region), so
     a fitted row's `invertible` is always True. Each row carries its AIC
-    too, but only BIC selects. `fits` holds the FitReport of every
-    fitted cell, converged or not, and the selected one is
-    `fits[selected_bic]`, the model the scan scored. As in fit_css, the
-    models carry no sample period or units.
+    too, but only BIC selects. `fits` holds every fitted cell, converged
+    or not, and `fits[selected]` is the model the scan scored. As in
+    fit_css, the models carry no sample period or units.
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
@@ -655,8 +646,7 @@ def order_scan(series, p_max: int, q_max: int,
     if not admissible:
         raise RuntimeError("order scan produced no admissible fits")
     best = min(admissible, key=lambda r: r["bic"])
-    return ScanResult(rows=rows, selected_bic=(best["p"], best["q"]),
-                      fits=fitted)
+    return rows, fitted, (best["p"], best["q"])
 
 
 def chi2_quantile(prob: float, df: int) -> float:
@@ -671,7 +661,8 @@ def chi2_quantile(prob: float, df: int) -> float:
 def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
     """Whiteness diagnostics for a residual series, as the diagnostics.json
     object: ljung_box_q, ljung_box_df, ljung_box_critical, skewness,
-    excess_kurtosis, significance_bound (the ACF's 95% band) and passed.
+    excess_kurtosis, significance_bound (the ACF's 95% band,
+    stats.significance_bound(n)) and passed.
 
     From the residual ACF it computes the Ljung-Box portmanteau
     statistic Q = n(n+2) sum_k rho_k^2/(n-k) with df = max_lag minus the
@@ -684,8 +675,7 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
     """
     x = np.asarray(res, dtype=float)
     n = x.size
-    r = _acf(x, max_lag)
-    rho = r.values[1:]
+    rho = _acf(x, max_lag)[1:]
     q_stat = float(n * (n + 2) * np.sum(rho**2 / (n - np.arange(1, max_lag + 1))))
     df = max(max_lag - n_model_params, 1)
     crit = chi2_quantile(0.99, df)
@@ -702,7 +692,7 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
     passed = bool(q_stat < crit and np.all(np.abs(rho) < fw_bound))
     return {"ljung_box_q": q_stat, "ljung_box_df": df, "ljung_box_critical": crit,
             "skewness": skew, "excess_kurtosis": exkurt,
-            "significance_bound": r.significance_bound, "passed": passed}
+            "significance_bound": significance_bound(n), "passed": passed}
 
 
 def stationary_variance(model: ArmaModel) -> float:

@@ -31,10 +31,9 @@ from . import __version__, arma, channel, ingest, stats, theory
 FADING_HEADER = ["t_s", "intensity"]
 
 
-def _acf_table(result: stats.AcfResult) -> tuple:
-    return (["lag", "value", "bound"],
-            [np.arange(result.values.size), result.values,
-             np.full(result.values.size, float(result.significance_bound))])
+def _acf_table(values, bound: float) -> tuple:
+    return ["lag", "value", "bound"], [np.arange(values.size), values,
+                                       np.full(values.size, bound)]
 
 
 def _rld_table(above, below) -> tuple:
@@ -115,14 +114,15 @@ def cmd_fit(args) -> dict:
     estimate_c = not args.fix_c
     # ACF/PACF come first: a degenerate (constant) trace fails there with a
     # zero-variance error before any fitting
-    artifacts = {"acf.csv": _acf_table(stats.acf(series, args.max_lag)),
-                 "pacf.csv": _acf_table(stats.pacf(series, args.max_lag))}
+    rho, pac = stats.acf(series, args.max_lag), stats.pacf(series, args.max_lag)
+    bound = stats.significance_bound(series.size)
+    artifacts = {"acf.csv": _acf_table(rho, bound), "pacf.csv": _acf_table(pac, bound)}
     if args.scan is not None:
-        scan = arma.order_scan(series, *args.scan, estimate_c=estimate_c)
-        report = scan.fits[scan.selected_bic]
+        rows, fits, selected = arma.order_scan(series, *args.scan, estimate_c=estimate_c)
+        report = fits[selected]
         header = ["p", "q", "css", "aic", "bic", "converged", "stationary",
                   "invertible"]
-        artifacts["scan.csv"] = (header, [[r[k] for r in scan.rows] for k in header])
+        artifacts["scan.csv"] = (header, [[r[k] for r in rows] for k in header])
     else:
         report = arma.fit_css(series, args.p, args.q, estimate_c=estimate_c)
     model = dataclasses.replace(report.model, sample_period=trace.sample_period,
@@ -154,12 +154,13 @@ def cmd_analyze(args) -> dict:
                          f"got {args.threshold!r}")
     above, below = stats.run_length_distribution(intens, threshold)
     edges, density = stats.empirical_pdf(intens, args.bins)
+    si = stats.scintillation_index(intens)
     summary = {
         "n": int(intens.size),
         "threshold": threshold,
         "mean_intensity": float(np.mean(intens)),
-        "scintillation_index": stats.scintillation_index(intens),
-        "scintillation_index_sqrt": float(np.sqrt(stats.scintillation_index(intens))),
+        "scintillation_index": si,
+        "scintillation_index_sqrt": float(np.sqrt(si)),
         "max_run_length_above": int(above.max(initial=0)),
         "max_run_length_below": int(below.max(initial=0)),
     }
@@ -190,6 +191,8 @@ def cmd_compare(args) -> dict:
         raise ValueError("n must be positive")
     if args.seeds <= 0:
         raise ValueError("seeds must be positive")
+    if args.tail_length < 1:
+        raise ValueError(f"--tail-length must be >= 1, got {args.tail_length}")
     per_seed = []
     runs_arma, runs_mem = [], []
     arma_wins = 0

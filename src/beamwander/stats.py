@@ -1,30 +1,26 @@
 """Time-series and fading statistics.
 
-ACF/PACF with 95% significance bounds, radial variance of a wander
-trace, run lengths above and below an intensity threshold as two int
-arrays, scintillation index and normalized empirical PDFs.
+ACF and PACF as arrays over lags 0..max_lag, their 95% white-noise
+band `significance_bound(n)`, radial variance of a wander trace, run
+lengths above and below an intensity threshold as two int arrays,
+scintillation index and normalized empirical PDFs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass
-class AcfResult:
-    """Autocorrelations (or partial autocorrelations) for lags 0..max_lag.
-
-    significance_bound is the 95% white-noise band 1.96/sqrt(n).
-    """
-
-    values: np.ndarray
-    significance_bound: float
+def significance_bound(n: int) -> float:
+    """The 95% white-noise band 1.96/sqrt(n) of an ACF or PACF of n samples."""
+    return 1.96 / math.sqrt(n)
 
 
-def acf(series, max_lag: int) -> AcfResult:
-    """Sample autocorrelation with the biased (1/n) normalization.
+def acf(series, max_lag: int) -> np.ndarray:
+    """Sample autocorrelation for lags 0..max_lag with the biased (1/n)
+    normalization.
 
     rho_k = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2.
     """
@@ -45,16 +41,16 @@ def acf(series, max_lag: int) -> AcfResult:
     vals[0] = 1.0
     for k in range(1, max_lag + 1):
         vals[k] = float(np.dot(xc[:-k], xc[k:])) / denom
-    return AcfResult(values=vals, significance_bound=1.96 / np.sqrt(n))
+    return vals
 
 
-def pacf(series, max_lag: int) -> AcfResult:
-    """Partial autocorrelations via the Durbin-Levinson recursion.
+def pacf(series, max_lag: int) -> np.ndarray:
+    """Partial autocorrelations for lags 0..max_lag via the Durbin-Levinson
+    recursion.
 
     Lag-0 entry is 1 by convention; lag 1 equals the lag-1 ACF.
     """
-    r = acf(series, max_lag)
-    rho = r.values
+    rho = acf(series, max_lag)
     pac = np.empty(max_lag + 1)
     pac[0] = 1.0
     phi_prev = np.zeros(0)
@@ -70,7 +66,7 @@ def pacf(series, max_lag: int) -> AcfResult:
         phi[k - 1] = phi_kk
         pac[k] = phi_kk
         phi_prev = phi
-    return AcfResult(values=pac, significance_bound=r.significance_bound)
+    return pac
 
 
 def radial_variance(xs, ys) -> float:

@@ -113,9 +113,9 @@ class TestSimulate:
 
     def test_table_model_acf_lag1(self):
         # theoretical lag-1 ACF from a long-run simulation oracle
-        oracle = stats.acf(simulate(TABLE_MODEL, 1_000_000, seed=7), 1).values[1]
+        oracle = stats.acf(simulate(TABLE_MODEL, 1_000_000, seed=7), 1)[1]
         r = stats.acf(simulate(TABLE_MODEL, 3000, seed=8), 1)
-        assert abs(r.values[1] - oracle) < r.significance_bound
+        assert abs(r[1] - oracle) < stats.significance_bound(3000)
 
     def test_nonstationary_rejected(self):
         bad = ArmaModel(c=0.0, ar=[1.01], ma=[], sigma2=1.0)
@@ -390,8 +390,8 @@ class TestGlobalMinimum:
 
     def test_scan_cell_reaches_truth_started_css(self):
         x = simulate(TABLE_MODEL, 3000, seed=3)
-        scan = order_scan(x, 5, 5, estimate_c=False)
-        row = next(r for r in scan.rows if (r["p"], r["q"]) == (2, 2))
+        rows, _, _ = order_scan(x, 5, 5, estimate_c=False)
+        row = next(r for r in rows if (r["p"], r["q"]) == (2, 2))
         assert row["css"] <= self.truth_css(x) * (1 + 1e-9)
 
     def test_fits_stay_invertible(self):
@@ -447,22 +447,21 @@ class TestEngine:
 class TestOrderScan:
     def test_white_noise_selects_00(self):
         x = np.random.default_rng(19).normal(size=2000)
-        scan = order_scan(x, 2, 2)
-        assert scan.selected_bic == (0, 0)
+        _, _, selected = order_scan(x, 2, 2)
+        assert selected == (0, 0)
 
     def test_ar1_root_recovered(self):
         model = ArmaModel(c=0.0, ar=[0.9], ma=[], sigma2=1.0)
         x = simulate(model, 5000, seed=20)
-        scan = order_scan(x, 2, 2)
-        p_sel, q_sel = scan.selected_bic
+        _, _, (p_sel, q_sel) = order_scan(x, 2, 2)
         rep = fit_css(x, p_sel, q_sel)
         root = min(root_moduli(rep.model.ar_poly()))
         assert root == pytest.approx(1 / 0.9, rel=0.05)
 
     def test_nested_css_monotone_across_grid(self):
         x = simulate(TABLE_MODEL, 3000, seed=21)
-        scan = order_scan(x, 3, 3)
-        css = {(r["p"], r["q"]): r["css"] for r in scan.rows}
+        rows, _, _ = order_scan(x, 3, 3)
+        css = {(r["p"], r["q"]): r["css"] for r in rows}
         for (p, q), c in css.items():
             for prev in ((p - 1, q), (p, q - 1)):
                 if prev in css and math.isfinite(css[prev]):
@@ -473,16 +472,16 @@ class TestOrderScan:
         # inside the circle, while the step-down that confined its search
         # says outside
         x = simulate(TABLE_MODEL, 3000, seed=1065)
-        scan = order_scan(x, 4, 4, estimate_c=False)
-        assert all(rep.model.invertible for rep in scan.fits.values())
-        rows = {(r["p"], r["q"]): r for r in scan.rows}
+        scan_rows, fits, _ = order_scan(x, 4, 4, estimate_c=False)
+        assert all(rep.model.invertible for rep in fits.values())
+        rows = {(r["p"], r["q"]): r for r in scan_rows}
         assert rows[(4, 4)]["invertible"]
-        assert all(rows[k]["invertible"] for k in scan.fits)
+        assert all(rows[k]["invertible"] for k in fits)
 
     def test_rows_cover_grid(self):
         x = np.random.default_rng(22).normal(size=1000)
-        scan = order_scan(x, 1, 2)
-        assert {(r["p"], r["q"]) for r in scan.rows} == {
+        rows, _, _ = order_scan(x, 1, 2)
+        assert {(r["p"], r["q"]) for r in rows} == {
             (p, q) for p in range(2) for q in range(3)}
 
 
@@ -503,14 +502,14 @@ class TestIterationCap:
         assert math.isfinite(report.css)
 
     def test_order_scan_records_but_never_selects(self, x):
-        scan = order_scan(x, 2, 2, estimate_c=False)
-        rows = {(r["p"], r["q"]): r for r in scan.rows}
+        scan_rows, fits, selected = order_scan(x, 2, 2, estimate_c=False)
+        rows = {(r["p"], r["q"]): r for r in scan_rows}
         # with no parameters to fit, (0, 0) is the one converged cell
         capped = [k for k in rows if k != (0, 0)]
-        assert rows[(0, 0)]["converged"] and scan.selected_bic == (0, 0)
+        assert rows[(0, 0)]["converged"] and selected == (0, 0)
         for k in capped:
             assert not rows[k]["converged"] and rows[k]["error"] == "no convergence"
-            assert scan.fits[k].converged is False
+            assert fits[k].converged is False
             assert rows[k]["bic"] < rows[(0, 0)]["bic"]  # excluded, not outscored
 
 
@@ -525,7 +524,7 @@ class TestDiagnostics:
         model = ArmaModel(c=0.0, ar=[0.9], ma=[], sigma2=1.0)
         x = simulate(model, 3000, seed=24)
         assert not diagnose_residuals(x, 20)["passed"]
-        assert abs(stats.acf(x, 20).values[1]) > 0.8
+        assert abs(stats.acf(x, 20)[1]) > 0.8
 
     def test_returns_diagnostics_json_keys(self):
         d = diagnose_residuals(np.random.default_rng(23).normal(size=500), 10)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import beamwander
-from beamwander import arma, channel, cli, ingest
+from beamwander import arma, channel, cli, ingest, stats
 from beamwander.cli import main
 
 TABLE_MODEL = {
@@ -188,6 +188,12 @@ class TestFit:
         acf_lines = read_lines(out / "acf.csv")
         assert acf_lines[0] == "lag,value,bound"
         assert len(acf_lines) == 22  # header + lags 0..20
+        # one band, from one function, reaches every file that carries it
+        bound = stats.significance_bound(4000)
+        for name in ("acf.csv", "pacf.csv"):
+            assert [float(line.split(",")[2])
+                    for line in read_lines(out / name)[1:]] == [bound] * 21
+        assert diag["significance_bound"] == bound
 
     def test_scan_writes_grid(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "3", "simulate", "--model", model_path,
@@ -629,12 +635,15 @@ class TestOptionRange:
          "p and q must be >= 0, got p=1, q=-2"),
         (["simulate", "--model", "{model}", "--n", "1", "--omega-st", "105.0"],
          "--n must be >= 2, got 1"),
+        (["compare", "--model", "{model}", "--gamma", "0.7", "--n", "50",
+          "--tail-length", "0"], "--tail-length must be >= 1, got 0"),
     ], ids=["theory_cn2", "theory_L", "theory_omega0", "theory_kappa0",
             "theory_wind", "theory_r0", "theory_omega_st", "simulate_omega_st",
             "crosstalk_omega_st", "compare_omega_st", "compare_gamma",
             "analyze_threshold_nan", "analyze_threshold_word",
             "ingest_threshold_nan", "ingest_threshold_2", "ingest_pitch",
-            "fit_p_negative", "fit_q_negative", "simulate_n_one"])
+            "fit_p_negative", "fit_q_negative", "simulate_n_one",
+            "compare_tail_length_zero"])
     def test_rejected(self, tmp_path, capsys, inputs, argv, named):
         code, out = run(tmp_path, *fill(argv, inputs))
         failed_cleanly(code, out, capsys, named)

@@ -1,6 +1,7 @@
 """Start-up cost: only the fit imports a scipy module, and only
-scipy.linalg. Every name a package module imports is used, and one
-function alone calls np.roots.
+scipy.linalg. Every name a package module imports is used, one function
+alone calls np.roots, and the package defines only the classes listed in
+CLASSES.
 
 Importing scipy.signal takes longer than most commands' own work, and
 scipy.special alone costs about as much as a short command, so
@@ -138,3 +139,26 @@ def test_roots_called_only_in_root_moduli():
             tree = ast.parse(fh.read(), path)
         callers += _roots_callers(tree, os.path.basename(path)[:-3])
     assert callers == ["arma.root_moduli"]
+
+
+# Every other result is a plain value (array, tuple or dict); each class
+# here earns its place, so a new one must be argued for where it is added.
+CLASSES = {
+    "arma": ["ArmaModel",  # validates a model on construction and in from_dict
+             "FitConvergenceError",  # bench/tracer.py reads its .report
+             "FitReport"],  # bench/tracer.py reads .iterations and .converged
+    "ingest": ["WanderTrace"],  # hides the trace CSV + JSON sidecar format
+    "theory": ["LinkParams"],  # validates the link parameters
+}
+
+
+def test_only_listed_classes():
+    defined = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        names = sorted(node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef))
+        if names:
+            defined[os.path.basename(path)[:-3]] = names
+    assert defined == CLASSES
