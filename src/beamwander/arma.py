@@ -24,7 +24,6 @@ scipy.linalg on first use.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -286,23 +285,17 @@ def _unpack(params: np.ndarray, p: int, q: int, estimate_c: bool):
     return float(c), ar, ma
 
 
-def _css_residuals(params: np.ndarray, x: np.ndarray, p: int, q: int,
-                   estimate_c: bool) -> np.ndarray:
-    c, ar, ma = _unpack(params, p, q, estimate_c)
-    # trial steps may cross into explosive theta territory; the resulting
-    # inf/nan CSS is rejected by the line search, so silence the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _innovations(c, np.concatenate(([1.0], -ar)),
-                            np.concatenate(([1.0], ma)), x)
-
-
 def _css(params, x, p, q, estimate_c) -> tuple[float, np.ndarray | None]:
     """CSS and residuals at params; (inf, None) outside the invertible
     region or on overflow."""
-    if not _outside_unit_circle([1.0, *params[params.size - q:]]):
+    c, ar, ma = _unpack(params, p, q, estimate_c)
+    theta = np.concatenate(([1.0], ma))
+    if not _outside_unit_circle(theta):
         return float("inf"), None
-    eps = _css_residuals(params, x, p, q, estimate_c)
+    # trial steps may cross into explosive theta territory; the resulting
+    # inf/nan CSS is rejected by the line search, so silence the overflow
     with np.errstate(over="ignore", invalid="ignore"):
+        eps = _innovations(c, np.concatenate(([1.0], -ar)), theta, x)
         s = float(np.dot(eps, eps))
     return (s, eps) if np.isfinite(s) else (float("inf"), None)
 
@@ -317,10 +310,13 @@ def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
     residuals of a long AR(m) regression with intercept, m = min(20, n // 10)
-    (at least 1), zero for t < m, or None when the regression is singular.
-    It depends on the series alone: one result serves every (p, q)."""
+    (at least 1), zero for t < m, or None when the regression is singular
+    or has no rows. It depends on the series alone: one result serves
+    every (p, q)."""
     n = x.size
     m = max(min(20, n // 10), 1)
+    if n <= m:
+        return m, None
     A = np.empty((n - m, m + 1), order="F")
     A[:, 0] = 1.0
     for i in range(1, m + 1):
@@ -402,12 +398,14 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
 
     Exact Jacobian, step-halving line search; converged when the relative
     CSS change drops below _TOL or no descent step remains, with at most
-    _MAX_ITER iterations.
+    _MAX_ITER iterations. Returns (params, css, iterations, converged, eps),
+    eps being the residuals at params; a start whose CSS is not finite
+    returns (params0, inf, 0, False, None).
     """
     params = params0.copy()
     css, eps = _css(params, x, p, q, estimate_c)
     if params.size == 0 or eps is None:
-        return params, css, 0, eps is not None
+        return params, css, 0, eps is not None, eps
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
@@ -431,7 +429,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
             converged = True
             break
         css = new_css
-    return params, css, iterations, converged
+    return params, css, iterations, converged, eps
 
 
 # (a, m) pairs of the common factors (1 - a B) on phi and (1 - m B) on theta
@@ -465,28 +463,28 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, long_ar,
     Starts, in order: Hannan-Rissanen from the first stage long_ar (zeros
     when its CSS is not finite), start_params, and for p, q >= 1 the
     common-factor extensions of the (p-1, q-1) parameter vector `nested`,
-    which is fitted here when not given. Starts with non-finite CSS are
-    skipped; on ties the earlier start wins. Returns (params, css,
-    iterations, converged), iterations being the most any start took.
+    which is fitted here when not given. `_gauss_newton` evaluates each
+    start once. A start whose CSS is not finite ends there at inf and never
+    wins, since the first start's CSS is finite; on ties the earlier start
+    wins. Returns (params, css, iterations, converged, eps), iterations
+    being the most any start took and eps the residuals at params.
     """
     hr = _hannan_rissanen(x, p, q, estimate_c, long_ar)
-    if not np.isfinite(_css(hr, x, p, q, estimate_c)[0]):
-        hr = np.zeros_like(hr)
+    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q, estimate_c)
+    if eps is None:
+        params, css, iterations, converged, eps = _gauss_newton(
+            np.zeros_like(hr), x, p, q, estimate_c)
     extra = [] if start_params is None else [start_params]
     if p > 0 and q > 0:
         if nested is None:
             nested = _minimize(x, p - 1, q - 1, estimate_c, long_ar)[0]
         extra += _common_factor_starts(nested, p, q, estimate_c)
-    starts = [hr] + [s for s in extra
-                     if np.isfinite(_css(s, x, p, q, estimate_c)[0])]
-
-    params, css, iterations, converged = hr, float("inf"), 0, hr.size == 0
-    for s0 in starts:
-        pp, cc, it, conv = _gauss_newton(s0, x, p, q, estimate_c)
+    for s0 in extra:
+        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q, estimate_c)
         iterations = max(iterations, it)
         if cc < css:
-            params, css, converged = pp, cc, conv
-    return params, css, iterations, converged
+            params, css, converged, eps = pp, cc, conv, ee
+    return params, css, iterations, converged, eps
 
 
 def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarray:
@@ -535,30 +533,34 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     knows the series' own sets them. A fit that hits the iteration cap
     raises FitConvergenceError, whose `.report` is the best iterate.
     """
-    x = np.asarray(series, dtype=float)
-    report = _fit_css(x, p, q, estimate_c, start_params, None,
-                      functools.partial(_long_ar, x))
+    x = _checked(series)
+    report = _fit_css(x, p, q, estimate_c, start_params, None, _long_ar(x))
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
-def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
-             nested, long_ar) -> FitReport:
-    """fit_css on a float array, converged or not. nested, when given, is
-    the parameter vector of the series' (p-1, q-1) fit, extended by the
-    common-factor starts instead of a fresh fit. long_ar() gives the
-    series' `_long_ar` stage; it is called after the checks, and only when
-    p + q > 0."""
-    n = x.size
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
+def _checked(series) -> np.ndarray:
+    """series as a float array, whose values and sum of squares are finite."""
+    x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     with np.errstate(over="ignore"):
         if not np.isfinite(np.dot(x, x)):
             raise ValueError("series overflows: its sum of squares is not finite")
+    return x
+
+
+def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
+             nested, long_ar) -> FitReport:
+    """fit_css on a checked float array (`_checked`), converged or not.
+    nested, when given, is the parameter vector of the series' (p-1, q-1)
+    fit, extended by the common-factor starts instead of a fresh fit.
+    long_ar is the series' `_long_ar` stage."""
+    n = x.size
+    if p < 0 or q < 0:
+        raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
@@ -567,29 +569,22 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
         start_params = np.asarray(start_params, dtype=float)
         if start_params.size != k_opt:
             raise ValueError(f"start_params must have {k_opt} entries")
-    params, css, iterations, converged = _minimize(
-        x, p, q, estimate_c, long_ar() if p + q > 0 else None, start_params,
-        nested)
+    params, css, iterations, converged, eps = _minimize(
+        x, p, q, estimate_c, long_ar, start_params, nested)
 
-    c, ar, ma = _unpack(params, p, q, estimate_c)
-    dof = n - p - q - 1
-    sigma2 = css / dof if dof > 0 else css / n
-    sigma2 = max(sigma2, 1e-300)
-    loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
-    k_ic = k_opt + 1  # + innovation variance
-    aic, bic = information_criteria(loglik, k_ic, n)
-
+    dof = n - p - q - 1  # positive, by the length check
     stderr = [float("nan")] * k_opt
     if k_opt > 0:
-        eps = _css_residuals(params, x, p, q, estimate_c)
         J = _jacobian(params, eps, x, p, q, estimate_c)
         try:
-            cov = sigma2 * np.linalg.inv(J.T @ J)
-            diag = np.diag(cov)
-            stderr = [math.sqrt(v) if v > 0 else float("nan") for v in diag]
+            var = max(css / dof, 1e-300) * np.diag(np.linalg.inv(J.T @ J))
+            stderr = [math.sqrt(v) if v > 0 else float("nan") for v in var]
         except np.linalg.LinAlgError:
             pass
-
+    c, ar, ma = _unpack(params, p, q, estimate_c)
+    sigma2 = max(css / dof, 1e-300)
+    loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
+    aic, bic = information_criteria(loglik, k_opt + 1, n)  # + innovation variance
     return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),
                      n=n, css=css, loglik=loglik, aic=aic, bic=bic,
                      stderr=stderr, converged=converged, iterations=iterations)
@@ -615,8 +610,8 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
-    x = np.asarray(series, dtype=float)
-    long_ar = functools.cache(functools.partial(_long_ar, x))  # once per grid
+    x = _checked(series)
+    long_ar = _long_ar(x)  # one first stage serves the whole grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
     for p in range(p_max + 1):

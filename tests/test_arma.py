@@ -414,14 +414,14 @@ class TestEngine:
         x = simulate(TABLE_MODEL, 500, seed=26) + 3.0
         params = np.array([2.5, 1.7, -0.74, 0.2, -1.2, 0.3, 0.05])
         p, q = 3, 3
-        eps = arma._css_residuals(params, x, p, q, True)
+        eps = arma._css(params, x, p, q, True)[1]
         J = arma._jacobian(params, eps, x, p, q, True)
         for i in range(params.size):
             h = 1e-6 * (1.0 + abs(params[i]))
             up = params.copy(); up[i] += h
             dn = params.copy(); dn[i] -= h
-            fd = (arma._css_residuals(up, x, p, q, True)
-                  - arma._css_residuals(dn, x, p, q, True)) / (2 * h)
+            fd = (arma._css(up, x, p, q, True)[1]
+                  - arma._css(dn, x, p, q, True)[1]) / (2 * h)
             assert np.allclose(J[:, i], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
     def test_invertible_matches_roots(self):
