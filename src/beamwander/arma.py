@@ -467,7 +467,9 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, long_ar,
     start once. A start whose CSS is not finite ends there at inf and never
     wins, since the first start's CSS is finite; on ties the earlier start
     wins. Returns (params, css, iterations, converged, eps), iterations
-    being the most any start took and eps the residuals at params.
+    being the most any start took and eps the residuals at params. Every
+    vector and the CSS are in the units of x, the series divided by
+    `_scaled`'s s.
     """
     hr = _hannan_rissanen(x, p, q, estimate_c, long_ar)
     params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q, estimate_c)
@@ -507,12 +509,16 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     deterministic set and the lowest CSS wins:
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
-      is singular or its MA part is not invertible);
+      is singular or its CSS is not finite);
     - start_params, when supplied (e.g. a smaller nested fit padded with
       zeros);
     - for p, q >= 1, the (p-1, q-1) fit, found here the same way, with a
       near-cancelling pair of factors (1 - a B) on phi and (1 - m B) on
       theta appended, for (a, m) = (0.99, 0.97) and (0.9, 0.8).
+
+    Each start is evaluated once; one whose CSS is not finite (outside the
+    invertible region, or overflowing) never wins, since the first start's
+    CSS is always finite.
 
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
     the Hannan-Rissanen start alone often ends in a local minimum whose
@@ -529,35 +535,50 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     extra coefficients. A fitted model that violates stationarity is
     returned with `report.model.stationary` False, never silently.
 
-    The model keeps the default sample_period and units; a caller that
-    knows the series' own sets them. A fit that hits the iteration cap
-    raises FitConvergenceError, whose `.report` is the best iterate.
+    c, css, sigma2 (with loglik, AIC and BIC) and c's standard error are
+    in the series' units, as is start_params, and the fit does not depend
+    on them: with c estimated it runs on the series divided by the power
+    of two that puts its RMS in [1, 2) (`_scaled`), so a trace in metres
+    fits as one in micrometres. The series must be finite, with a finite
+    sum of squares. The model keeps the default sample_period and units; a
+    caller that knows the series' own sets them. A fit that hits the
+    iteration cap raises FitConvergenceError, whose `.report` is the best
+    iterate.
     """
-    x = _checked(series)
-    report = _fit_css(x, p, q, estimate_c, start_params, None, _long_ar(x))
+    x, s = _scaled(series, estimate_c)
+    report = _fit_css(x, s, p, q, estimate_c, start_params, None, _long_ar(x))
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
-def _checked(series) -> np.ndarray:
-    """series as a float array, whose values and sum of squares are finite."""
+def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float]:
+    """(x / s, s) for the series x, once its values and sum of squares are
+    checked finite. With c estimated, s is the power of two that puts the
+    RMS of x / s in [1, 2): c's Jacobian column is O(1) while the others
+    scale with x, so the fit would otherwise depend on the units. Dividing
+    by a power of two is exact. With c fixed the fit is scale-free; s = 1."""
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.dot(x, x)):
-            raise ValueError("series overflows: its sum of squares is not finite")
-    return x
+        ss = float(np.dot(x, x))
+    if not math.isfinite(ss):
+        raise ValueError("series overflows: its sum of squares is not finite")
+    s = 1.0
+    if estimate_c and ss > 0:
+        s = math.ldexp(1.0, math.frexp(math.sqrt(ss / x.size))[1] - 1)
+    return x / s, s
 
 
-def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
-             nested, long_ar) -> FitReport:
-    """fit_css on a checked float array (`_checked`), converged or not.
+def _fit_css(x: np.ndarray, s: float, p: int, q: int, estimate_c: bool,
+             start_params, nested, long_ar) -> FitReport:
+    """fit_css on the series x * s, given as x and s (`_scaled`), converged
+    or not. start_params, nested and the report are in the units of x * s.
     nested, when given, is the parameter vector of the series' (p-1, q-1)
     fit, extended by the common-factor starts instead of a fresh fit.
-    long_ar is the series' `_long_ar` stage."""
+    long_ar is the `_long_ar` stage of x."""
     n = x.size
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
@@ -566,9 +587,12 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
 
     k_opt = (1 if estimate_c else 0) + p + q
     if start_params is not None:
-        start_params = np.asarray(start_params, dtype=float)
+        start_params = np.array(start_params, dtype=float)
         if start_params.size != k_opt:
             raise ValueError(f"start_params must have {k_opt} entries")
+    for v in (start_params, nested):
+        if estimate_c and v is not None:
+            v[0] /= s  # c in the units of x; both vectors are the caller's copies
     params, css, iterations, converged, eps = _minimize(
         x, p, q, estimate_c, long_ar, start_params, nested)
 
@@ -582,6 +606,8 @@ def _fit_css(x: np.ndarray, p: int, q: int, estimate_c: bool, start_params,
         except np.linalg.LinAlgError:
             pass
     c, ar, ma = _unpack(params, p, q, estimate_c)
+    if estimate_c:  # to the units of x * s, exactly: s is a power of two
+        c, css, stderr[0] = c * s, css * s * s, stderr[0] * s
     sigma2 = max(css / dof, 1e-300)
     loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
     aic, bic = information_criteria(loglik, k_opt + 1, n)  # + innovation variance
@@ -606,11 +632,14 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     a fitted row's `invertible` is always True. Each row carries its AIC
     too, but only BIC selects. `fits` holds every fitted cell, converged
     or not, and `fits[selected]` is the model the scan scored. As in
-    fit_css, the models carry no sample period or units.
+    fit_css, a start whose CSS is not finite never wins, c, css and sigma2
+    are in the series' units without depending on them, and the models
+    carry no sample period or units. The series is checked once, and a
+    non-finite or overflowing one raises ValueError before any cell.
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
-    x = _checked(series)
+    x, s = _scaled(series, estimate_c)
     long_ar = _long_ar(x)  # one first stage serves the whole grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
@@ -626,7 +655,7 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
             if nested is not None:
                 nested = _pad_start(nested, p - 1, q - 1, estimate_c)
             try:
-                rep = _fit_css(x, p, q, estimate_c, start, nested, long_ar)
+                rep = _fit_css(x, s, p, q, estimate_c, start, nested, long_ar)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 row["error"] = str(exc)
             else:
@@ -682,6 +711,8 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
         m2, m3, m4 = (float(np.mean(xc**k)) for k in (2, 3, 4))
     if not math.isfinite(m4):
         raise ValueError("residuals overflow: their fourth moment is not finite")
+    if m2 > 0 and m2**2 == 0.0:
+        raise ValueError("residuals underflow: the square of their variance is zero")
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     exkurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
     passed = bool(q_stat < crit and np.all(np.abs(rho) < fw_bound))

@@ -112,8 +112,8 @@ def cmd_fit(args) -> dict:
     trace = ingest.read_trace(args.trace)
     series = trace.xs if args.axis == "x" else trace.ys
     estimate_c = not args.fix_c
-    # ACF/PACF come first: a degenerate (constant) trace fails there with a
-    # zero-variance error before any fitting
+    # ACF/PACF come first: a constant trace, or one whose sum of squares
+    # overflows or underflows, fails there before any fitting
     rho, pac = stats.acf(series, args.max_lag), stats.pacf(series, args.max_lag)
     bound = stats.significance_bound(series.size)
     artifacts = {"acf.csv": _acf_table(rho, bound), "pacf.csv": _acf_table(pac, bound)}
@@ -231,6 +231,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_ingest(args) -> dict:
+    if args.sample_period is not None and args.fps is not None:
+        raise ValueError("give --sample-period or --fps, not both")
     if args.sample_period is not None:
         dt = args.sample_period
     elif args.fps is not None:

@@ -30,13 +30,17 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag:
         raise ValueError(f"series length {n} must exceed max_lag {max_lag}")
+    # constancy is read from the values: x - x.mean() can be off by a
+    # rounding error and so not zero, and a sum of squares can underflow
+    if x.min() == x.max():
+        raise ValueError("constant series has zero variance; ACF undefined")
     with np.errstate(over="ignore", invalid="ignore"):
         xc = x - x.mean()
         denom = float(np.dot(xc, xc))
     if not np.isfinite(denom):
         raise ValueError("series overflows: its sum of squares is not finite")
     if denom == 0.0:
-        raise ValueError("constant series has zero variance; ACF undefined")
+        raise ValueError("series underflows: its sum of squares is zero")
     vals = np.empty(max_lag + 1)
     vals[0] = 1.0
     for k in range(1, max_lag + 1):

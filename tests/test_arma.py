@@ -347,6 +347,13 @@ class TestFitCss:
         with pytest.raises(ValueError):
             fit_css(np.zeros(30), 2, 2)
 
+    def test_empty_series_rejected(self):
+        # the long-AR stage runs before the length check, and must not fail first
+        with pytest.raises(ValueError, match="series too short: need n > 20, got 0"):
+            fit_css(np.zeros(0), 1, 0)
+        with pytest.raises(RuntimeError, match="no admissible fits"):
+            order_scan(np.zeros(0), 1, 1)
+
     def test_negative_order_rejected(self):
         x = np.random.default_rng(13).normal(size=1000)
         with pytest.raises(ValueError, match="p and q must be >= 0, got p=-1, q=2"):
@@ -367,6 +374,33 @@ class TestFitCss:
         x = simulate(TABLE_MODEL, 2000, seed=18)
         rep = fit_css(x, 1, 1, estimate_c=False)
         assert rep.model.c == 0.0
+
+
+class TestUnits:
+    """With c estimated, the fit runs on the series divided by a power of
+    two that brings its RMS into [1, 2), so it does not depend on the
+    trace's units: c's Jacobian column is O(1) while the others scale with
+    the series."""
+
+    @pytest.fixture
+    def x(self):
+        return simulate(TABLE_MODEL, 3000, seed=1) + 5.0
+
+    @pytest.mark.parametrize("j", [-30, 20])
+    def test_power_of_two_scale_is_exact(self, x, j):
+        ref, rep = fit_css(x, 2, 2), fit_css(x * 2.0**j, 2, 2)
+        assert rep.model.ar == ref.model.ar and rep.model.ma == ref.model.ma
+        assert rep.converged == ref.converged and rep.iterations == ref.iterations
+        assert rep.model.c == ref.model.c * 2.0**j
+        assert rep.css == ref.css * 4.0**j
+        assert rep.model.sigma2 == ref.model.sigma2 * 4.0**j
+        assert rep.stderr == [ref.stderr[0] * 2.0**j] + ref.stderr[1:]
+
+    def test_metres_for_micrometres(self, x):
+        ref, rep = fit_css(x, 2, 2), fit_css(x * 1e-7, 2, 2)
+        assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
+                           rtol=0, atol=1e-6)
+        assert rep.model.c == pytest.approx(ref.model.c * 1e-7, rel=1e-6)
 
 
 class TestGlobalMinimum:
@@ -477,6 +511,16 @@ class TestOrderScan:
         rows = {(r["p"], r["q"]): r for r in scan_rows}
         assert rows[(4, 4)]["invertible"]
         assert all(rows[k]["invertible"] for k in fits)
+
+    @pytest.mark.parametrize("bad, named", [
+        (np.nan, "series contains non-finite values"),
+        (1e160, "series overflows: its sum of squares is not finite"),
+    ], ids=["nan", "overflow"])
+    def test_bad_series_named(self, bad, named):
+        x = np.random.default_rng(22).normal(size=1000)
+        x[7] = bad
+        with pytest.raises(ValueError, match=named):
+            order_scan(x, 2, 2)
 
     def test_rows_cover_grid(self):
         x = np.random.default_rng(22).normal(size=1000)

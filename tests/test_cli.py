@@ -38,7 +38,8 @@ def read_lines(path):
 
 
 def write_overflowing_trace(tmp_path, scale):
-    """A 400-row N(0,1) * scale trace, whose squares overflow at 1e160."""
+    """A 400-row N(0,1) * scale trace, whose squares overflow at 1e160 and
+    whose sum of squares underflows to zero at 1e-165."""
     xs, ys = np.random.default_rng(0).normal(size=(2, 400)) * scale
     trace = tmp_path / "trace.csv"
     ingest.write_trace(ingest.WanderTrace(xs=xs, ys=ys, sample_period=0.01),
@@ -250,7 +251,10 @@ class TestFit:
     @pytest.mark.parametrize("scale, named", [
         (1e160, "series overflows: its sum of squares is not finite"),
         (1e100, "residuals overflow: their fourth moment is not finite"),
-    ], ids=["sum_of_squares", "fourth_moment"])
+        (1e-100, "residuals underflow: the square of their variance is zero"),
+        (1e-165, "series underflows: its sum of squares is zero"),
+    ], ids=["sum_of_squares", "fourth_moment", "variance_underflow",
+            "sum_of_squares_underflow"])
     def test_overflowing_trace_fails_cleanly(self, tmp_path, scale, named):
         failed_cleanly_fresh(tmp_path, named, "fit", "--trace",
                              write_overflowing_trace(tmp_path, scale),
@@ -630,6 +634,7 @@ class TestOptionRange:
         (FRAMES + ["--threshold-fraction", "nan"], "--threshold-fraction "),
         (FRAMES + ["--threshold-fraction", "2"], "threshold_fraction must lie in [0, 1]"),
         (FRAMES + ["--pixel-pitch", "-1"], "pixel_pitch must be positive"),
+        (FRAMES + ["--sample-period", "0.5"], "give --sample-period or --fps, not both"),
         (["fit", "--trace", "{trace}", "--p", "-1"], "p and q must be >= 0, got p=-1"),
         (["fit", "--trace", "{trace}", "--p", "1", "--q", "-2"],
          "p and q must be >= 0, got p=1, q=-2"),
@@ -642,6 +647,7 @@ class TestOptionRange:
             "crosstalk_omega_st", "compare_omega_st", "compare_gamma",
             "analyze_threshold_nan", "analyze_threshold_word",
             "ingest_threshold_nan", "ingest_threshold_2", "ingest_pitch",
+            "ingest_fps_and_period",
             "fit_p_negative", "fit_q_negative", "simulate_n_one",
             "compare_tail_length_zero"])
     def test_rejected(self, tmp_path, capsys, inputs, argv, named):

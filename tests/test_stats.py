@@ -51,6 +51,17 @@ class TestAcf:
         with pytest.raises(ValueError):
             stats.acf(np.ones(100), 5)
 
+    def test_constant_series_off_mean(self):
+        # the mean of 3000 samples of 0.1 is off by 2.8e-17, so x - x.mean()
+        # is not zero: constancy must be read from the values
+        with pytest.raises(ValueError, match="constant series has zero variance"):
+            stats.acf(np.full(3000, 0.1), 5)
+
+    def test_underflow_named(self):
+        x = np.random.default_rng(4).normal(size=400) * 1e-165
+        with pytest.raises(ValueError, match="series underflows: its sum of squares is zero"):
+            stats.acf(x, 10)
+
     def test_length_check(self):
         with pytest.raises(ValueError):
             stats.acf(np.arange(5.0), 10)
