@@ -713,6 +713,9 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
         raise ValueError("residuals overflow: their fourth moment is not finite")
     if m2 > 0 and m2**2 == 0.0:
         raise ValueError("residuals underflow: the square of their variance is zero")
+    if 0 < m2**2 < sys.float_info.min:  # a subnormal square has lost precision
+        raise ValueError("residuals underflow: the square of their variance "
+                         "is subnormal")
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     exkurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
     passed = bool(q_stat < crit and np.all(np.abs(rho) < fw_bound))

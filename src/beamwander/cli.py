@@ -45,9 +45,12 @@ def _rld_table(above, below) -> tuple:
 
 
 def _crosstalk_table(t, r_norm, weights) -> tuple:
+    """The crosstalk.csv table. C_-l is a copy of C_l (crosstalk_trace), so
+    the same C_l column object fills both, and write_csv formats it once."""
     l_max = weights.shape[1] // 2
     header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
-    return header, [t, r_norm, *weights.T]
+    half = list(weights[:, l_max:].T)  # C_0 .. C_l_max
+    return header, [t, r_norm, *half[:0:-1], *half]
 
 
 def _load_model(path: str) -> arma.ArmaModel:
@@ -145,6 +148,9 @@ def cmd_fit(args) -> dict:
 def cmd_analyze(args) -> dict:
     _, (intens,) = ingest.read_series(args.fading, FADING_HEADER)
     tr = ingest.read_trace(args.trace) if args.trace is not None else None
+    # first, so that intensities whose mean overflows are named as such,
+    # not as a bad --threshold
+    si = stats.scintillation_index(intens)
     try:
         threshold = float(np.mean(intens) if args.threshold == "mean" else args.threshold)
     except ValueError:
@@ -154,7 +160,6 @@ def cmd_analyze(args) -> dict:
                          f"got {args.threshold!r}")
     above, below = stats.run_length_distribution(intens, threshold)
     edges, density = stats.empirical_pdf(intens, args.bins)
-    si = stats.scintillation_index(intens)
     summary = {
         "n": int(intens.size),
         "threshold": threshold,

@@ -130,15 +130,25 @@ def write_csv(path: str, header: list[str], columns) -> None:
     same double), other values by str, with CRLF line ends: the bytes
     csv.writer produces for the same header and repr'd rows. Nothing is
     quoted, so no value may contain a comma, quote or line break. Rows
-    are formatted in blocks of _BLOCK_ROWS.
+    are formatted in blocks of _BLOCK_ROWS, and each distinct column is
+    formatted once per block: a column object passed at several positions
+    reuses the same text. Columns of unequal length raise one ValueError
+    naming path, before the file is opened.
     """
     cols = [np.asarray(c) for c in columns]
-    n = len(cols[0]) if cols else 0
+    lengths = sorted({len(c) for c in cols})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length ({lengths})")
+    n = lengths[0] if lengths else 0
+    # keyed by identity: every array in cols stays alive, so ids are unique
+    distinct = {id(c): c for c in cols}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _BLOCK_ROWS):
-            fields = [map(repr if c.dtype.kind == "f" else str,
-                          c[lo:lo + _BLOCK_ROWS].tolist()) for c in cols]
+            text = {key: list(map(repr if c.dtype.kind == "f" else str,
+                                  c[lo:lo + _BLOCK_ROWS].tolist()))
+                    for key, c in distinct.items()}
+            fields = [text[id(c)] for c in cols]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

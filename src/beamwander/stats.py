@@ -9,6 +9,7 @@ scintillation index and normalized empirical PDFs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -41,6 +42,8 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise ValueError("series overflows: its sum of squares is not finite")
     if denom == 0.0:
         raise ValueError("series underflows: its sum of squares is zero")
+    if denom < sys.float_info.min:  # a subnormal sum has lost precision
+        raise ValueError("series underflows: its sum of squares is subnormal")
     vals = np.empty(max_lag + 1)
     vals[0] = 1.0
     for k in range(1, max_lag + 1):
@@ -108,10 +111,17 @@ def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.nd
 def scintillation_index(intensities) -> float:
     """Normalized intensity variance <I^2>/<I>^2 - 1."""
     x = np.asarray(intensities, dtype=float)
-    m = x.mean()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = x.mean()
+        si = float(np.mean(x**2) / m**2 - 1.0)
+    if not math.isfinite(m):
+        raise ValueError("intensities overflow: their mean is not finite")
     if m <= 0:
         raise ValueError("mean intensity must be positive")
-    return float(np.mean(x**2) / m**2 - 1.0)
+    if not math.isfinite(si):
+        raise ValueError("intensities out of range: their scintillation index "
+                         "is not finite")
+    return si
 
 
 def empirical_pdf(series, bin_count: int, value_range: tuple[float, float] | None = None):

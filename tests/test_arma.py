@@ -581,6 +581,17 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="fourth moment is not finite"):
             diagnose_residuals(x, 10)
 
+    @pytest.mark.parametrize("scale, named", [
+        (1e-100, "the square of their variance is zero"),
+        (1e-80, "the square of their variance is subnormal"),
+    ])
+    def test_moment_underflow_rejected(self, scale, named):
+        # at 1e-80 the variance's square is about 1e-320, and the excess
+        # kurtosis computed from it would be off by about 3e-4
+        x = np.random.default_rng(23).normal(size=500) * scale
+        with pytest.raises(ValueError, match="residuals underflow: " + named):
+            diagnose_residuals(x, 10)
+
     def test_chi2_quantile_against_scipy(self):
         from scipy.stats import chi2
         for df in (5, 10, 16, 20):

@@ -253,8 +253,9 @@ class TestFit:
         (1e100, "residuals overflow: their fourth moment is not finite"),
         (1e-100, "residuals underflow: the square of their variance is zero"),
         (1e-165, "series underflows: its sum of squares is zero"),
+        (1e-80, "residuals underflow: the square of their variance is subnormal"),
     ], ids=["sum_of_squares", "fourth_moment", "variance_underflow",
-            "sum_of_squares_underflow"])
+            "sum_of_squares_underflow", "variance_subnormal"])
     def test_overflowing_trace_fails_cleanly(self, tmp_path, scale, named):
         failed_cleanly_fresh(tmp_path, named, "fit", "--trace",
                              write_overflowing_trace(tmp_path, scale),
@@ -332,6 +333,17 @@ class TestAnalyze:
                              "analyze", "--fading", str(fading), "--trace",
                              write_overflowing_trace(tmp_path, 1e160))
 
+    @pytest.mark.parametrize("scale, named", [
+        (1e200, "intensities out of range: their scintillation index is not finite"),
+        (1.7e308, "intensities overflow: their mean is not finite"),
+    ], ids=["square_overflow", "mean_overflow"])
+    def test_overflowing_fading_fails_cleanly(self, tmp_path, scale, named):
+        # every value is finite; their squares, or at 1.7e308 their sum, are not
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{(0.5 + 0.01 * (i % 7)) * scale!r}\n" for i in range(50)))
+        failed_cleanly_fresh(tmp_path, named, "analyze", "--fading", str(fading))
+
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
                      "--n", "20000", "--omega-st", "105.21191045333147",
@@ -366,6 +378,28 @@ class TestCrosstalk:
         assert code == 0
         assert (out / "crosstalk.csv").read_bytes() == \
             (sim / "crosstalk.csv").read_bytes()
+
+    def test_mirrored_columns_share_text(self, tmp_path, model_path):
+        _, sim = run(tmp_path, "simulate", "--model", model_path, "--n", "1500",
+                     "--omega-st", "105.0", sub="sim")
+        code, out = run(tmp_path, "crosstalk", "--trace", str(sim / "trace.csv"),
+                        "--omega-st", "105.0", "--l-max", "4", sub="ct")
+        assert code == 0
+        header, *rows = read_lines(out / "crosstalk.csv")
+        at = {name: i for i, name in enumerate(header.split(","))}
+        for line in rows:
+            fields = line.split(",")
+            for l in range(1, 5):
+                assert fields[at[f"C_{-l}"]] == fields[at[f"C_{l}"]]
+
+    def test_table_passes_one_object_per_mode_pair(self):
+        r_norm, weights = channel.crosstalk_trace([0.3, 1.0, 2.5], [0.1, -0.4, 0.0],
+                                                  1.0, 3)
+        header, columns = cli._crosstalk_table(np.arange(3.0), r_norm, weights)
+        by_name = dict(zip(header, columns))
+        for l in range(1, 4):
+            assert by_name[f"C_{-l}"] is by_name[f"C_{l}"]
+        assert np.array_equal(np.column_stack(columns[2:]), weights)
 
 
     def test_overflowing_trace_fails_cleanly(self, tmp_path):

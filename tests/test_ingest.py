@@ -337,6 +337,21 @@ def float_tables(draw):
     return draw(hnp.arrays(np.float64, shape, elements=finite))
 
 
+@st.composite
+def repeated_columns(draw):
+    """A column list that repeats some of its column objects, long enough
+    to cross a formatting block, with -0.0 and subnormals among the floats."""
+    n = draw(st.integers(1, ingest._BLOCK_ROWS + 40))
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]))
+    distinct = [np.resize(draw(hnp.arrays(np.float64, draw(st.integers(1, 40)),
+                                          elements=floats)), n)
+                for _ in range(draw(st.integers(1, 3)))]
+    distinct.append(np.arange(n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return [distinct[i] for i in picks]
+
+
 class TestCsvIO:
     @settings(max_examples=200, deadline=None)
     @given(table=float_tables())
@@ -351,6 +366,24 @@ class TestCsvIO:
                 assert a.read() == b.read()
             back = read_csv(path, header)
         assert back.view(np.int64).tolist() == table.view(np.int64).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=repeated_columns())
+    @example(columns=[np.resize([-0.0, 5e-324, 1.5], ingest._BLOCK_ROWS + 1)] * 3)
+    def test_repeated_columns_bitwise(self, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as d:
+            path, ref = f"{d}/t.csv", f"{d}/ref.csv"
+            write_csv(path, header, columns)
+            reference_csv(ref, header, [c.tolist() for c in columns])
+            with open(path, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match="^" + path + ": columns differ in length"):
+            write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_mixed_columns_across_blocks(self, tmp_path):
         # more rows than one formatting block, with str, int and bool columns

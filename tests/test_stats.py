@@ -62,6 +62,12 @@ class TestAcf:
         with pytest.raises(ValueError, match="series underflows: its sum of squares is zero"):
             stats.acf(x, 10)
 
+    def test_subnormal_sum_named(self):
+        # a sum of squares of about 4e-318 keeps only 9 of its 53 bits
+        x = np.random.default_rng(4).normal(size=400) * 1e-160
+        with pytest.raises(ValueError, match="series underflows: its sum of squares is subnormal"):
+            stats.acf(x, 5)
+
     def test_length_check(self):
         with pytest.raises(ValueError):
             stats.acf(np.arange(5.0), 10)
@@ -195,6 +201,14 @@ class TestScintillationIndex:
     def test_zero_mean(self):
         with pytest.raises(ValueError):
             stats.scintillation_index(np.zeros(5))
+
+    @pytest.mark.parametrize("scale, named", [
+        (1e200, "scintillation index is not finite"),
+        (1.7e308, "their mean is not finite"),
+    ])
+    def test_overflow_named(self, scale, named):
+        with pytest.raises(ValueError, match=named):
+            stats.scintillation_index(np.linspace(0.5, 1.0, 50) * scale)
 
 
 class TestEmpiricalPdf:
