@@ -193,6 +193,7 @@ class FitReport:
     stderr: list[float]
     converged: bool
     iterations: int
+    residuals: np.ndarray  # at the optimum, in the series' units
 
 
 def _outside_unit_circle(poly) -> bool:
@@ -276,26 +277,16 @@ def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
     return 2.0 * k - 2.0 * loglik, k * math.log(n) - 2.0 * loglik
 
 
-def _unpack(params: np.ndarray, p: int, q: int, estimate_c: bool):
-    i = 0
-    c = params[0] if estimate_c else 0.0
-    i += 1 if estimate_c else 0
-    ar = params[i:i + p]
-    ma = params[i + p:i + p + q]
-    return float(c), ar, ma
-
-
-def _css(params, x, p, q, estimate_c) -> tuple[float, np.ndarray | None]:
-    """CSS and residuals at params; (inf, None) outside the invertible
-    region or on overflow."""
-    c, ar, ma = _unpack(params, p, q, estimate_c)
-    theta = np.concatenate(([1.0], ma))
+def _css(params, x, p, q) -> tuple[float, np.ndarray | None]:
+    """CSS and residuals at params = (ar, ma), with c = 0; (inf, None)
+    outside the invertible region or on overflow."""
+    theta = np.concatenate(([1.0], params[p:]))
     if not _outside_unit_circle(theta):
         return float("inf"), None
     # trial steps may cross into explosive theta territory; the resulting
     # inf/nan CSS is rejected by the line search, so silence the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = _innovations(c, np.concatenate(([1.0], -ar)), theta, x)
+        eps = _innovations(0.0, np.concatenate(([1.0], -params[:p])), theta, x)
         s = float(np.dot(eps, eps))
     return (s, eps) if np.isfinite(s) else (float("inf"), None)
 
@@ -330,18 +321,15 @@ def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     return m, eps_hat
 
 
-def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool,
+def _hannan_rissanen(x: np.ndarray, p: int, q: int,
                      long_ar: tuple[int, np.ndarray | None]) -> np.ndarray:
     """Two-stage initial estimate: OLS of x on its own lags and the lags of
     the long-AR innovation proxies (`_long_ar`), solved through the normal
-    equations. Falls back to zeros (c to the sample mean) if either
-    regression is singular."""
+    equations. Falls back to zeros if either regression is singular."""
     n = x.size
-    k = (1 if estimate_c else 0) + p + q
+    k = p + q
     fallback = np.zeros(k)
-    if estimate_c:
-        fallback[0] = x.mean()
-    if p + q == 0:
+    if k == 0:
         return fallback
     m, eps_hat = long_ar
     if eps_hat is None:
@@ -350,13 +338,8 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool,
     rows = n - start
     if rows <= k:
         return fallback
-    cols = []
-    if estimate_c:
-        cols.append(np.ones(rows))
-    for i in range(1, p + 1):
-        cols.append(x[start - i:n - i])
-    for j in range(1, q + 1):
-        cols.append(eps_hat[start - j:n - j])
+    cols = ([x[start - i:n - i] for i in range(1, p + 1)]
+            + [eps_hat[start - j:n - j] for j in range(1, q + 1)])
     try:
         beta = _ols(np.column_stack(cols), x[start:])
     except np.linalg.LinAlgError:
@@ -367,24 +350,18 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int, estimate_c: bool,
 
 
 def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
-              q: int, estimate_c: bool) -> np.ndarray:
+              q: int) -> np.ndarray:
     """Exact Jacobian of the residual vector eps = residuals at params.
 
-    From theta(B) e_t = phi(B) x_t - c (Box, Jenkins & Reinsel, Time
-    Series Analysis, sec. 7.2): de/dM_i = -theta(B)^-1 x_{t-i},
-    de/dN_j = -theta(B)^-1 e_{t-j} and de/dc = -theta(B)^-1 1, each with
-    zero pre-sample terms, so one filter pass per regressor serves every
-    lag.
+    From theta(B) e_t = phi(B) x_t (Box, Jenkins & Reinsel, Time Series
+    Analysis, sec. 7.2): de/dM_i = -theta(B)^-1 x_{t-i} and
+    de/dN_j = -theta(B)^-1 e_{t-j}, each with zero pre-sample terms, so one
+    filter pass per regressor serves every lag.
     """
-    _, _, ma = _unpack(params, p, q, estimate_c)
-    theta = np.concatenate(([1.0], ma))
-    n = x.size
-    off = 1 if estimate_c else 0
-    J = np.zeros((n, off + p + q), order="F")
+    theta = np.concatenate(([1.0], params[p:]))
+    J = np.zeros((x.size, p + q), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
-        if estimate_c:
-            J[:, 0] = -_inverse_filter(theta, np.ones(n))
-        for base, src, lags in ((off, x, p), (off + p, eps, q)):
+        for base, src, lags in ((0, x, p), (p, eps, q)):
             if lags:
                 u = _inverse_filter(theta, src)
                 for i in range(1, lags + 1):
@@ -392,8 +369,7 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
     return J
 
 
-def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
-                  estimate_c: bool):
+def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
     """Damped Gauss-Newton on the CSS objective from one starting point.
 
     Exact Jacobian, step-halving line search; converged when the relative
@@ -403,19 +379,19 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
     returns (params0, inf, 0, False, None).
     """
     params = params0.copy()
-    css, eps = _css(params, x, p, q, estimate_c)
+    css, eps = _css(params, x, p, q)
     if params.size == 0 or eps is None:
         return params, css, 0, eps is not None, eps
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        J = _jacobian(params, eps, x, p, q, estimate_c)
+        J = _jacobian(params, eps, x, p, q)
         step = -_ols(J, eps)
         new_css = None
         t = 1.0
         for _ in range(40):
             trial = params + t * step
-            s, trial_eps = _css(trial, x, p, q, estimate_c)
+            s, trial_eps = _css(trial, x, p, q)
             if s < css:
                 new_css = s
                 params, eps = trial, trial_eps
@@ -442,22 +418,19 @@ _COMMON_FACTORS = ((0.99, 0.97), (0.9, 0.8))
 _MAX_ITER, _TOL = 500, 1e-10  # Gauss-Newton iteration cap, relative CSS tolerance
 
 
-def _common_factor_starts(nested: np.ndarray, p: int, q: int,
-                          estimate_c: bool) -> list[np.ndarray]:
+def _common_factor_starts(nested: np.ndarray, p: int, q: int) -> list[np.ndarray]:
     """(p, q) starts from a (p-1, q-1) parameter vector: phi and theta each
-    gain one common-factor root, and c is rescaled to keep the mean."""
-    c, ar, ma = _unpack(nested, p - 1, q - 1, estimate_c)
+    gain one common-factor root."""
     starts = []
     for a, m in _COMMON_FACTORS:
-        phi = np.convolve(np.concatenate(([1.0], -ar)), [1.0, -a])
-        theta = np.convolve(np.concatenate(([1.0], ma)), [1.0, -m])
-        head = [c * (1.0 - a)] if estimate_c else []
-        starts.append(np.concatenate((head, -phi[1:], theta[1:])))
+        phi = np.convolve(np.concatenate(([1.0], -nested[:p - 1])), [1.0, -a])
+        theta = np.convolve(np.concatenate(([1.0], nested[p - 1:])), [1.0, -m])
+        starts.append(np.concatenate((-phi[1:], theta[1:])))
     return starts
 
 
-def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, long_ar,
-              start_params=None, nested=None):
+def _minimize(x: np.ndarray, p: int, q: int, long_ar, start_params=None,
+              nested=None):
     """Lowest-CSS Gauss-Newton end point over the deterministic start set.
 
     Starts, in order: Hannan-Rissanen from the first stage long_ar (zeros
@@ -468,33 +441,31 @@ def _minimize(x: np.ndarray, p: int, q: int, estimate_c: bool, long_ar,
     wins, since the first start's CSS is finite; on ties the earlier start
     wins. Returns (params, css, iterations, converged, eps), iterations
     being the most any start took and eps the residuals at params. Every
-    vector and the CSS are in the units of x, the series divided by
-    `_scaled`'s s.
+    vector is (ar, ma), and the CSS and eps are in the units of x, the
+    series prepared by `_scaled`.
     """
-    hr = _hannan_rissanen(x, p, q, estimate_c, long_ar)
-    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q, estimate_c)
+    hr = _hannan_rissanen(x, p, q, long_ar)
+    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q)
     if eps is None:
         params, css, iterations, converged, eps = _gauss_newton(
-            np.zeros_like(hr), x, p, q, estimate_c)
+            np.zeros_like(hr), x, p, q)
     extra = [] if start_params is None else [start_params]
     if p > 0 and q > 0:
         if nested is None:
-            nested = _minimize(x, p - 1, q - 1, estimate_c, long_ar)[0]
-        extra += _common_factor_starts(nested, p, q, estimate_c)
+            nested = _minimize(x, p - 1, q - 1, long_ar)[0]
+        extra += _common_factor_starts(nested, p, q)
     for s0 in extra:
-        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q, estimate_c)
+        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q)
         iterations = max(iterations, it)
         if cc < css:
             params, css, converged, eps = pp, cc, conv, ee
     return params, css, iterations, converged, eps
 
 
-def _pad_start(report: FitReport, p: int, q: int, estimate_c: bool) -> np.ndarray:
-    """Parameter vector of a fitted model, zero-padded to (p, q)."""
+def _pad_start(report: FitReport, p: int, q: int) -> np.ndarray:
+    """(ar, ma) vector of a fitted model, zero-padded to (p, q)."""
     m = report.model
-    head = [m.c] if estimate_c else []
-    return np.concatenate((head, m.ar + [0.0] * (p - m.p),
-                           m.ma + [0.0] * (q - m.q)))
+    return np.array(m.ar + [0.0] * (p - m.p) + m.ma + [0.0] * (q - m.q))
 
 
 def fit_css(series, p: int, q: int, estimate_c: bool = True,
@@ -510,8 +481,8 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
       is singular or its CSS is not finite);
-    - start_params, when supplied (e.g. a smaller nested fit padded with
-      zeros);
+    - start_params, when supplied: the p + q vector (ar, ma), e.g. a
+      smaller nested fit padded with zeros;
     - for p, q >= 1, the (p-1, q-1) fit, found here the same way, with a
       near-cancelling pair of factors (1 - a B) on phi and (1 - m B) on
       theta appended, for (a, m) = (0.99, 0.97) and (0.9, 0.8).
@@ -535,30 +506,44 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     extra coefficients. A fitted model that violates stationarity is
     returned with `report.model.stationary` False, never silently.
 
-    c, css, sigma2 (with loglik, AIC and BIC) and c's standard error are
-    in the series' units, as is start_params, and the fit does not depend
-    on them: with c estimated it runs on the series divided by the power
-    of two that puts its RMS in [1, 2) (`_scaled`), so a trace in metres
-    fits as one in micrometres. The series must be finite, with a finite
-    sum of squares. The model keeps the default sample_period and units; a
-    caller that knows the series' own sets them. A fit that hits the
-    iteration cap raises FitConvergenceError, whose `.report` is the best
-    iterate.
+    c is never a parameter of the optimizer. With c fixed the fit runs on
+    the series with c = 0. With c estimated it runs on the demeaned series
+    x - mean(x) with c = 0 and reports c = mean(x) phi(1), the intercept
+    whose process mean is mean(x); an offset in the trace then moves no
+    coefficient beyond rounding. c's standard error is the delta method's
+    on that product, se(c)^2 = sigma2 theta(1)^2 / n + mean(x)^2 1'S 1, the
+    first term being phi(1)^2 times the large-sample variance of the mean
+    of an ARMA series (Brockwell & Davis, Time Series: Theory and Methods,
+    sec. 7.1) and S the AR block of the covariance sigma2 (J'J)^-1 that
+    gives the other errors; stderr is then [c, ar..., ma...]. When J'J is
+    singular every standard error is NaN.
+
+    c, css, sigma2 (with loglik, AIC and BIC), c's standard error and
+    `report.residuals`, the residuals at the optimum, are in the series'
+    units, and the fit does not depend on them: with c estimated the
+    demeaned series is divided by the power of two that puts its RMS in
+    [1, 2) (`_scaled`), so a trace in metres fits as one in micrometres.
+    The series must be finite, with a finite sum of squares. The model
+    keeps the default sample_period and units; a caller that knows the
+    series' own sets them. A fit that hits the iteration cap raises
+    FitConvergenceError, whose `.report` is the best iterate.
     """
-    x, s = _scaled(series, estimate_c)
-    report = _fit_css(x, s, p, q, estimate_c, start_params, None, _long_ar(x))
+    x, s, mean = _scaled(series, estimate_c)
+    report = _fit_css(x, s, mean, p, q, start_params, None, _long_ar(x))
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
-def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float]:
-    """(x / s, s) for the series x, once its values and sum of squares are
-    checked finite. With c estimated, s is the power of two that puts the
-    RMS of x / s in [1, 2): c's Jacobian column is O(1) while the others
-    scale with x, so the fit would otherwise depend on the units. Dividing
-    by a power of two is exact. With c fixed the fit is scale-free; s = 1."""
+def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float, float | None]:
+    """(x, s, mean): the series as the fit sees it, once its values and sum
+    of squares are checked finite. With c fixed that is (series, 1, None).
+    With c estimated, x is the demeaned series divided by s, the power of
+    two that puts its RMS in [1, 2), and mean is the series mean: the
+    long-AR intercept column of `_long_ar` is O(1) while the others scale
+    with the series, so the fit would otherwise depend on the units.
+    Dividing by a power of two is exact."""
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
@@ -566,54 +551,66 @@ def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float]:
         ss = float(np.dot(x, x))
     if not math.isfinite(ss):
         raise ValueError("series overflows: its sum of squares is not finite")
-    s = 1.0
-    if estimate_c and ss > 0:
-        s = math.ldexp(1.0, math.frexp(math.sqrt(ss / x.size))[1] - 1)
-    return x / s, s
+    s, mean = 1.0, None
+    if estimate_c:
+        mean = float(x.mean()) if x.size else 0.0
+        x = x - mean
+        ss = float(np.dot(x, x))
+        if ss > 0:
+            s = math.ldexp(1.0, math.frexp(math.sqrt(ss / x.size))[1] - 1)
+    return x / s, s, mean
 
 
-def _fit_css(x: np.ndarray, s: float, p: int, q: int, estimate_c: bool,
+def _fit_css(x: np.ndarray, s: float, mean: float | None, p: int, q: int,
              start_params, nested, long_ar) -> FitReport:
-    """fit_css on the series x * s, given as x and s (`_scaled`), converged
-    or not. start_params, nested and the report are in the units of x * s.
-    nested, when given, is the parameter vector of the series' (p-1, q-1)
-    fit, extended by the common-factor starts instead of a fresh fit.
-    long_ar is the `_long_ar` stage of x."""
+    """fit_css on the series that `_scaled` turned into (x, s, mean),
+    converged or not: c is estimated unless mean is None. The (ar, ma)
+    vectors start_params and nested are unit-free; nested, when given, is
+    that of the series' (p-1, q-1) fit, extended by the common-factor
+    starts instead of a fresh fit. long_ar is the `_long_ar` stage of x.
+    The report is in the units of the series."""
     n = x.size
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
-    k_opt = (1 if estimate_c else 0) + p + q
+    k = p + q
     if start_params is not None:
         start_params = np.array(start_params, dtype=float)
-        if start_params.size != k_opt:
-            raise ValueError(f"start_params must have {k_opt} entries")
-    for v in (start_params, nested):
-        if estimate_c and v is not None:
-            v[0] /= s  # c in the units of x; both vectors are the caller's copies
+        if start_params.size != k:
+            raise ValueError(f"start_params must have {k} entries")
     params, css, iterations, converged, eps = _minimize(
-        x, p, q, estimate_c, long_ar, start_params, nested)
+        x, p, q, long_ar, start_params, nested)
+    ar, ma = params[:p], params[p:]
 
     dof = n - p - q - 1  # positive, by the length check
-    stderr = [float("nan")] * k_opt
-    if k_opt > 0:
-        J = _jacobian(params, eps, x, p, q, estimate_c)
+    var_x = max(css / dof, 1e-300)  # innovation variance in the units of x
+    cov = np.empty((0, 0))
+    if k > 0:
+        J = _jacobian(params, eps, x, p, q)
         try:
-            var = max(css / dof, 1e-300) * np.diag(np.linalg.inv(J.T @ J))
-            stderr = [math.sqrt(v) if v > 0 else float("nan") for v in var]
+            cov = var_x * np.linalg.inv(J.T @ J)
         except np.linalg.LinAlgError:
-            pass
-    c, ar, ma = _unpack(params, p, q, estimate_c)
-    if estimate_c:  # to the units of x * s, exactly: s is a power of two
-        c, css, stderr[0] = c * s, css * s * s, stderr[0] * s
+            cov = np.full((k, k), np.nan)
+    var = np.diag(cov)
+    c = 0.0
+    if mean is not None:  # c = mean phi(1), its variance by the delta method
+        c = mean * (1.0 - float(np.sum(ar)))
+        var_c = (var_x * (1.0 + float(np.sum(ma))) ** 2 / n
+                 + (mean / s) ** 2 * float(np.sum(cov[:p, :p])))
+        # to the units of the series, exactly: s is a power of two
+        var = np.concatenate(([var_c * s * s], var))
+    stderr = [math.sqrt(v) if v > 0 else float("nan") for v in var]
+    css = css * s * s
     sigma2 = max(css / dof, 1e-300)
     loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
-    aic, bic = information_criteria(loglik, k_opt + 1, n)  # + innovation variance
+    k_ic = k + (mean is not None) + 1  # + c when estimated, + innovation variance
+    aic, bic = information_criteria(loglik, k_ic, n)
     return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),
                      n=n, css=css, loglik=loglik, aic=aic, bic=bic,
-                     stderr=stderr, converged=converged, iterations=iterations)
+                     stderr=stderr, converged=converged, iterations=iterations,
+                     residuals=eps * s)
 
 
 def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple:
@@ -632,14 +629,16 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     a fitted row's `invertible` is always True. Each row carries its AIC
     too, but only BIC selects. `fits` holds every fitted cell, converged
     or not, and `fits[selected]` is the model the scan scored. As in
-    fit_css, a start whose CSS is not finite never wins, c, css and sigma2
-    are in the series' units without depending on them, and the models
-    carry no sample period or units. The series is checked once, and a
-    non-finite or overflowing one raises ValueError before any cell.
+    fit_css, a start whose CSS is not finite never wins; with c estimated
+    every cell fits the demeaned series and reports c = mean(x) phi(1); c,
+    css and sigma2 are in the series' units without depending on them; and
+    the models carry no sample period or units. The series is checked
+    once, and a non-finite or overflowing one raises ValueError before any
+    cell.
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
-    x, s = _scaled(series, estimate_c)
+    x, s, mean = _scaled(series, estimate_c)
     long_ar = _long_ar(x)  # one first stage serves the whole grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
@@ -649,13 +648,12 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
                    "invertible": False, "aic": float("nan"),
                    "bic": float("nan"), "css": float("nan"), "error": None}
             prev = [fitted[k] for k in ((p - 1, q), (p, q - 1)) if k in fitted]
-            start = (_pad_start(min(prev, key=lambda r: r.css), p, q, estimate_c)
-                     if prev else None)
+            start = _pad_start(min(prev, key=lambda r: r.css), p, q) if prev else None
             nested = fitted.get((p - 1, q - 1))
             if nested is not None:
-                nested = _pad_start(nested, p - 1, q - 1, estimate_c)
+                nested = _pad_start(nested, p - 1, q - 1)
             try:
-                rep = _fit_css(x, s, p, q, estimate_c, start, nested, long_ar)
+                rep = _fit_css(x, s, mean, p, q, start, nested, long_ar)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 row["error"] = str(exc)
             else:

@@ -139,9 +139,10 @@ def cmd_fit(args) -> dict:
         "iterations": report.iterations, "stationary": model.stationary,
         "invertible": model.invertible, "estimate_c": estimate_c,
     }
+    # the residuals the fit minimised: with c estimated, those of the demeaned
+    # series, free of the start-up transient that the raw series' offset has
     artifacts["diagnostics.json"] = arma.diagnose_residuals(
-        arma.residuals(model, series), max_lag=args.max_lag,
-        n_model_params=model.p + model.q)
+        report.residuals, max_lag=args.max_lag, n_model_params=model.p + model.q)
     return artifacts
 
 

@@ -109,7 +109,9 @@ def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.nd
 
 
 def scintillation_index(intensities) -> float:
-    """Normalized intensity variance <I^2>/<I>^2 - 1."""
+    """Normalized intensity variance <I^2>/<I>^2 - 1. Since <I^2> >= <I>^2,
+    a negative value can only be rounding (constant intensities give
+    -4.4e-16), and is returned as 0."""
     x = np.asarray(intensities, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m = x.mean()
@@ -121,7 +123,7 @@ def scintillation_index(intensities) -> float:
     if not math.isfinite(si):
         raise ValueError("intensities out of range: their scintillation index "
                          "is not finite")
-    return si
+    return max(si, 0.0)
 
 
 def empirical_pdf(series, bin_count: int, value_range: tuple[float, float] | None = None):

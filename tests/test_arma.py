@@ -338,8 +338,7 @@ class TestFitCss:
     def test_nested_css_with_warm_start(self):
         x = simulate(TABLE_MODEL, 3000, seed=17)
         small = fit_css(x, 1, 1)
-        start = np.concatenate(([small.model.c], small.model.ar, [0.0],
-                                small.model.ma, [0.0]))
+        start = np.concatenate((small.model.ar, [0.0], small.model.ma, [0.0]))
         big = fit_css(x, 2, 2, start_params=start)
         assert big.css <= small.css * (1 + 1e-9)
 
@@ -377,10 +376,10 @@ class TestFitCss:
 
 
 class TestUnits:
-    """With c estimated, the fit runs on the series divided by a power of
-    two that brings its RMS into [1, 2), so it does not depend on the
-    trace's units: c's Jacobian column is O(1) while the others scale with
-    the series."""
+    """With c estimated, the fit runs on the demeaned series divided by a
+    power of two that brings its RMS into [1, 2), so it does not depend on
+    the trace's units: the long-AR intercept column of the Hannan-Rissanen
+    start is O(1) while the others scale with the series."""
 
     @pytest.fixture
     def x(self):
@@ -401,6 +400,61 @@ class TestUnits:
         assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
                            rtol=0, atol=1e-6)
         assert rep.model.c == pytest.approx(ref.model.c * 1e-7, rel=1e-6)
+
+
+class TestOffset:
+    """With c estimated the fit runs on the demeaned series and reports
+    c = mean * phi(1), so an offset d in the trace moves no coefficient
+    beyond rounding, and c tracks the intercept d * phi(1) of the shifted
+    process. An intercept fitted inside the zero-pre-sample CSS would start
+    a transient that the near-unit MA root carries through the series;
+    d = 500 is about 8 sigma."""
+
+    OFFSETS = (0, 20, 100, 500)
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        out = {}
+        for seed in range(20):
+            x = simulate(TABLE_MODEL, 3000, seed=seed)
+            for d in self.OFFSETS:
+                out[seed, d] = fit_css(x + d, 2, 2)
+        return out
+
+    @pytest.mark.parametrize("d", OFFSETS[1:])
+    def test_coefficients_do_not_move(self, fits, d):
+        for seed in range(20):
+            ref, rep = fits[seed, 0], fits[seed, d]
+            assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
+                               rtol=0, atol=1e-8), seed
+
+    def test_coverage_at_large_offset(self, fits):
+        d = 500
+        phi1 = float(np.sum(TABLE_MODEL.ar_poly()))
+        truth = [d * phi1] + TABLE_TRUTH[1:]
+        covered = 0
+        for seed in range(20):
+            rep = fits[seed, d]
+            est = [rep.model.c] + rep.model.ar + rep.model.ma
+            covered += all(abs(e - t) <= 3 * s for e, t, s in zip(est, truth, rep.stderr))
+        assert covered >= 18
+
+    def test_fixed_c_residuals_are_the_models(self):
+        # cli diagnoses report.residuals; with c fixed they must be the
+        # model's residuals on the series, bit for bit
+        x = simulate(TABLE_MODEL, 3000, seed=4) + 5.0
+        rep = fit_css(x, 2, 2, estimate_c=False)
+        assert np.array_equal(rep.residuals, residuals(rep.model, x))
+        _, fits, selected = order_scan(x, 2, 2, estimate_c=False)
+        assert np.array_equal(fits[selected].residuals,
+                              residuals(fits[selected].model, x))
+
+    def test_estimated_c_residuals_are_the_demeaned_series(self):
+        x = simulate(TABLE_MODEL, 3000, seed=4) + 500.0
+        rep = fit_css(x, 2, 2)
+        assert np.allclose(rep.residuals, residuals(
+            ArmaModel(c=0.0, ar=rep.model.ar, ma=rep.model.ma, sigma2=1.0),
+            x - x.mean()), rtol=0, atol=1e-9)
 
 
 class TestGlobalMinimum:
@@ -446,16 +500,16 @@ class TestGlobalMinimum:
 class TestEngine:
     def test_jacobian_matches_finite_differences(self):
         x = simulate(TABLE_MODEL, 500, seed=26) + 3.0
-        params = np.array([2.5, 1.7, -0.74, 0.2, -1.2, 0.3, 0.05])
+        params = np.array([1.7, -0.74, 0.2, -1.2, 0.3, 0.05])
         p, q = 3, 3
-        eps = arma._css(params, x, p, q, True)[1]
-        J = arma._jacobian(params, eps, x, p, q, True)
+        eps = arma._css(params, x, p, q)[1]
+        J = arma._jacobian(params, eps, x, p, q)
         for i in range(params.size):
             h = 1e-6 * (1.0 + abs(params[i]))
             up = params.copy(); up[i] += h
             dn = params.copy(); dn[i] -= h
-            fd = (arma._css(up, x, p, q, True)[1]
-                  - arma._css(dn, x, p, q, True)[1]) / (2 * h)
+            fd = (arma._css(up, x, p, q)[1]
+                  - arma._css(dn, x, p, q)[1]) / (2 * h)
             assert np.allclose(J[:, i], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
     def test_invertible_matches_roots(self):

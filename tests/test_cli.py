@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +224,22 @@ class TestFit:
         assert fitted["units"] == "um"
         assert fitted["sample_period_s"] == pytest.approx(1 / 300, rel=1e-9)
 
+    def test_estimated_c_of_offset_model(self, tmp_path, model_path):
+        # c = 3 puts the process mean near 833, about 13 sigma from zero; the
+        # demeaned fit recovers c and passes its own residuals' diagnostics
+        model = tmp_path / "model_c3.json"
+        model.write_text(json.dumps({**TABLE_MODEL, "c": 3.0}))
+        _, sim = run(tmp_path, "--seed", "5", "simulate", "--model", str(model),
+                     "--n", "3000", "--omega-st", "105.0", sub="sim")
+        code, out = run(tmp_path, "fit", "--trace", str(sim / "trace.csv"),
+                        "--p", "2", "--q", "2", sub="fit")
+        assert code == 0
+        fitted = strict_json(out / "model.json")
+        report = strict_json(out / "fit_report.json")
+        assert report["estimate_c"] and len(report["stderr"]) == 5
+        assert abs(fitted["c"] - 3.0) <= 3 * report["stderr"][0]
+        assert strict_json(out / "diagnostics.json")["passed"]
+
     def test_constant_trace_fails_before_fit(self, tmp_path, capsys):
         trace = tmp_path / "flat.csv"
         rows = ["t_s,x,y"] + [f"{i * 0.01},1.0,1.0" for i in range(100)]
@@ -343,6 +360,24 @@ class TestAnalyze:
         fading.write_text("t_s,intensity\n" + "".join(
             f"{i * 0.01},{(0.5 + 0.01 * (i % 7)) * scale!r}\n" for i in range(50)))
         failed_cleanly_fresh(tmp_path, named, "analyze", "--fading", str(fading))
+
+    @pytest.mark.parametrize("values", [
+        [0.3] * 50,
+        [0.3] * 49 + [0.3 + 100 * math.ulp(0.3)],
+        [3.3] * 50,
+    ], ids=["constant", "ulps_apart", "constant_above_one"])
+    def test_rounding_level_index_is_zero(self, tmp_path, capsys, values):
+        # <I^2>/<I>^2 - 1 rounds below zero on each (-4.4e-16 for 0.3),
+        # constant or not, and summary.json carries its square root. The
+        # second file ends 100 ulps above the rest: enough for 50 bins.
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{v!r}\n" for i, v in enumerate(values)))
+        code, out = run(tmp_path, "analyze", "--fading", str(fading))
+        assert code == 0 and capsys.readouterr().err == ""  # warnings are errors here
+        summary = strict_json(out / "summary.json")
+        assert summary["scintillation_index"] == 0.0
+        assert summary["scintillation_index_sqrt"] == 0.0
 
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
