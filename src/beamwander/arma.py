@@ -300,18 +300,18 @@ def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
-    residuals of a long AR(m) regression with intercept, m = min(20, n // 10)
-    (at least 1), zero for t < m, or None when the regression is singular
-    or has no rows. It depends on the series alone: one result serves
-    every (p, q)."""
+    residuals of a long AR(m) regression of x[m:] on its m lags, with no
+    intercept (the fit's series has c = 0), m = min(20, n // 10) (at least
+    1), zero for t < m, or None when the regression is singular or has no
+    rows. It depends on the series alone: one result serves every (p, q),
+    and scaling x scales eps_hat alike."""
     n = x.size
     m = max(min(20, n // 10), 1)
     if n <= m:
         return m, None
-    A = np.empty((n - m, m + 1), order="F")
-    A[:, 0] = 1.0
+    A = np.empty((n - m, m), order="F")
     for i in range(1, m + 1):
-        A[:, i] = x[m - i:n - i]
+        A[:, i - 1] = x[m - i:n - i]
     try:
         coef = _ols(A, x[m:])
     except np.linalg.LinAlgError:
@@ -442,7 +442,7 @@ def _minimize(x: np.ndarray, p: int, q: int, long_ar, start_params=None,
     wins. Returns (params, css, iterations, converged, eps), iterations
     being the most any start took and eps the residuals at params. Every
     vector is (ar, ma), and the CSS and eps are in the units of x, the
-    series prepared by `_scaled`.
+    series as `_scaled` prepares it.
     """
     hr = _hannan_rissanen(x, p, q, long_ar)
     params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q)
@@ -520,30 +520,31 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
 
     c, css, sigma2 (with loglik, AIC and BIC), c's standard error and
     `report.residuals`, the residuals at the optimum, are in the series'
-    units, and the fit does not depend on them: with c estimated the
-    demeaned series is divided by the power of two that puts its RMS in
-    [1, 2) (`_scaled`), so a trace in metres fits as one in micrometres.
-    The series must be finite, with a finite sum of squares. The model
+    units, and the fit does not depend on them: no step of it has an
+    intercept, so in either mode a trace in metres fits as one in
+    micrometres, and scaling by a power of two scales them exactly. The
+    series must be finite, with a finite sum of squares that is neither
+    zero nor subnormal (for c estimated, that of the demeaned series):
+    such a series has nothing to fit, and raises ValueError. The model
     keeps the default sample_period and units; a caller that knows the
     series' own sets them. A fit that hits the iteration cap raises
     FitConvergenceError, whose `.report` is the best iterate.
     """
-    x, s, mean = _scaled(series, estimate_c)
-    report = _fit_css(x, s, mean, p, q, start_params, None, _long_ar(x))
+    x, mean = _scaled(series, estimate_c)
+    report = _fit_css(x, mean, p, q, start_params, None, _long_ar(x))
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
-def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float, float | None]:
-    """(x, s, mean): the series as the fit sees it, once its values and sum
-    of squares are checked finite. With c fixed that is (series, 1, None).
-    With c estimated, x is the demeaned series divided by s, the power of
-    two that puts its RMS in [1, 2), and mean is the series mean: the
-    long-AR intercept column of `_long_ar` is O(1) while the others scale
-    with the series, so the fit would otherwise depend on the units.
-    Dividing by a power of two is exact."""
+def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float | None]:
+    """(x, mean): the series as the fit sees it, in its own units. With c
+    fixed that is (series, None); with c estimated, x is the demeaned
+    series and mean the series mean. The values must be finite and the sum
+    of squares finite; a non-empty x whose sum of squares is zero or
+    subnormal has nothing to fit and raises ValueError. An empty series
+    passes, for the length check to name."""
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
@@ -551,24 +552,24 @@ def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float, float | None]:
         ss = float(np.dot(x, x))
     if not math.isfinite(ss):
         raise ValueError("series overflows: its sum of squares is not finite")
-    s, mean = 1.0, None
-    if estimate_c:
-        mean = float(x.mean()) if x.size else 0.0
+    mean = None
+    if estimate_c and x.size:
+        mean = float(x.mean())
         x = x - mean
         ss = float(np.dot(x, x))
-        if ss > 0:
-            s = math.ldexp(1.0, math.frexp(math.sqrt(ss / x.size))[1] - 1)
-    return x / s, s, mean
+    if x.size and ss < sys.float_info.min:  # a subnormal sum has lost precision
+        raise ValueError(f"series underflows: its {'' if mean is None else 'demeaned '}"
+                         f"sum of squares is {'subnormal' if ss else 'zero'}")
+    return x, mean
 
 
-def _fit_css(x: np.ndarray, s: float, mean: float | None, p: int, q: int,
+def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int,
              start_params, nested, long_ar) -> FitReport:
-    """fit_css on the series that `_scaled` turned into (x, s, mean),
+    """fit_css on the series that `_scaled` turned into (x, mean),
     converged or not: c is estimated unless mean is None. The (ar, ma)
     vectors start_params and nested are unit-free; nested, when given, is
     that of the series' (p-1, q-1) fit, extended by the common-factor
-    starts instead of a fresh fit. long_ar is the `_long_ar` stage of x.
-    The report is in the units of the series."""
+    starts instead of a fresh fit. long_ar is the `_long_ar` stage of x."""
     n = x.size
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
@@ -585,32 +586,29 @@ def _fit_css(x: np.ndarray, s: float, mean: float | None, p: int, q: int,
     ar, ma = params[:p], params[p:]
 
     dof = n - p - q - 1  # positive, by the length check
-    var_x = max(css / dof, 1e-300)  # innovation variance in the units of x
+    sigma2 = max(css / dof, 1e-300)
     cov = np.empty((0, 0))
     if k > 0:
         J = _jacobian(params, eps, x, p, q)
         try:
-            cov = var_x * np.linalg.inv(J.T @ J)
+            cov = sigma2 * np.linalg.inv(J.T @ J)
         except np.linalg.LinAlgError:
             cov = np.full((k, k), np.nan)
     var = np.diag(cov)
     c = 0.0
     if mean is not None:  # c = mean phi(1), its variance by the delta method
         c = mean * (1.0 - float(np.sum(ar)))
-        var_c = (var_x * (1.0 + float(np.sum(ma))) ** 2 / n
-                 + (mean / s) ** 2 * float(np.sum(cov[:p, :p])))
-        # to the units of the series, exactly: s is a power of two
-        var = np.concatenate(([var_c * s * s], var))
+        var_c = (sigma2 * (1.0 + float(np.sum(ma))) ** 2 / n
+                 + mean ** 2 * float(np.sum(cov[:p, :p])))
+        var = np.concatenate(([var_c], var))
     stderr = [math.sqrt(v) if v > 0 else float("nan") for v in var]
-    css = css * s * s
-    sigma2 = max(css / dof, 1e-300)
     loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
     k_ic = k + (mean is not None) + 1  # + c when estimated, + innovation variance
     aic, bic = information_criteria(loglik, k_ic, n)
     return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),
                      n=n, css=css, loglik=loglik, aic=aic, bic=bic,
                      stderr=stderr, converged=converged, iterations=iterations,
-                     residuals=eps * s)
+                     residuals=eps)
 
 
 def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple:
@@ -633,12 +631,12 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     every cell fits the demeaned series and reports c = mean(x) phi(1); c,
     css and sigma2 are in the series' units without depending on them; and
     the models carry no sample period or units. The series is checked
-    once, and a non-finite or overflowing one raises ValueError before any
-    cell.
+    once, as in fit_css, and a non-finite, overflowing or zero or subnormal
+    one raises ValueError before any cell.
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
-    x, s, mean = _scaled(series, estimate_c)
+    x, mean = _scaled(series, estimate_c)
     long_ar = _long_ar(x)  # one first stage serves the whole grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
@@ -653,7 +651,7 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
             if nested is not None:
                 nested = _pad_start(nested, p - 1, q - 1)
             try:
-                rep = _fit_css(x, s, mean, p, q, start, nested, long_ar)
+                rep = _fit_css(x, mean, p, q, start, nested, long_ar)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 row["error"] = str(exc)
             else:

@@ -128,11 +128,18 @@ def scintillation_index(intensities) -> float:
 
 def empirical_pdf(series, bin_count: int, value_range: tuple[float, float] | None = None):
     """Histogram density: (bin_edges, densities) with
-    sum(density * bin_width) == 1."""
+    sum(density * bin_width) == 1.
+
+    A range too narrow to hold bin_count finite bins, a few ulps wide, is
+    widened by 0.5 on each side, as numpy widens a zero range, so a
+    near-constant series histograms like a constant one."""
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be non-empty")
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
+    lo, hi = (x.min(), x.max()) if value_range is None else value_range
+    if lo < hi and np.any(np.diff(np.linspace(lo, hi, bin_count + 1)) <= 0):
+        value_range = (lo - 0.5, hi + 0.5)
     density, edges = np.histogram(x, bins=bin_count, range=value_range, density=True)
     return edges, density

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -252,14 +252,32 @@ def arma_models(draw):
                      ma=list(theta[1:]), sigma2=draw(st.floats(0.01, 1e4)))
 
 
+def fourth_power(a):
+    """(1 + a z)^4, ascending powers."""
+    poly = np.array([1.0])
+    for _ in range(4):
+        poly = np.convolve(poly, [1.0, a])
+    return poly
+
+
+# phi(z) = (1 + z/1.1)^4, theta(z) = (1 - z/1.1)^4: a gain of 21^4 at
+# frequency pi, so with sigma2 = 1 the series reaches 3.5e4, and the
+# inversion error (3.7e-9) follows the series, not the innovations
+FAR_GAIN_MODEL = ArmaModel(c=0.0, ar=list(-fourth_power(1 / 1.1)[1:]),
+                           ma=list(fourth_power(-1 / 1.1)[1:]), sigma2=1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=arma_models(), n=st.integers(1, 2000),
        seed=st.integers(0, 2**32 - 1))
+@example(model=FAR_GAIN_MODEL, n=60, seed=0)
 def test_residuals_invert_simulate(model, n, seed):
-    # the fit's banded-solve inverse filter undoes the in-package forward one
+    # the fit's banded-solve inverse filter undoes the in-package forward
+    # one, to rounding relative to the series' own magnitude
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(model.sigma2), n)
-    res = residuals(model, simulate(model, n, seed, burn_in=0))
-    scale = np.max(np.abs(eps)) + abs(model.c)
+    x = simulate(model, n, seed, burn_in=0)
+    res = residuals(model, x)
+    scale = np.max(np.abs(x)) + np.max(np.abs(eps))
     assert np.max(np.abs(res - eps)) <= 1e-9 * scale
 
 
@@ -343,8 +361,9 @@ class TestFitCss:
         assert big.css <= small.css * (1 + 1e-9)
 
     def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            fit_css(np.zeros(30), 2, 2)
+        x = np.random.default_rng(13).normal(size=30)
+        with pytest.raises(ValueError, match="series too short: need n > 50, got 30"):
+            fit_css(x, 2, 2)
 
     def test_empty_series_rejected(self):
         # the long-AR stage runs before the length check, and must not fail first
@@ -369,6 +388,28 @@ class TestFitCss:
         with pytest.raises(ValueError, match="series overflows: its sum of squares"):
             fit_css(x, 1, 0)
 
+    @pytest.mark.parametrize("series, estimate_c, named", [
+        (np.full(300, 3.0), True, "demeaned sum of squares is zero"),
+        (np.zeros(300), True, "demeaned sum of squares is zero"),
+        (np.zeros(300), False, "sum of squares is zero"),
+        # every square underflows to zero at 2^-560, and most to subnormals at 2^-525
+        (simulate(TABLE_MODEL, 3000, seed=1) * 2.0**-560, True,
+         "demeaned sum of squares is zero"),
+        (simulate(TABLE_MODEL, 3000, seed=1) * 2.0**-560, False, "sum of squares is zero"),
+        (simulate(TABLE_MODEL, 3000, seed=1) * 2.0**-525, True,
+         "demeaned sum of squares is subnormal"),
+        (simulate(TABLE_MODEL, 3000, seed=1) * 2.0**-525, False,
+         "sum of squares is subnormal"),
+    ], ids=["constant", "zeros", "zeros_fixed_c", "2^-560", "2^-560_fixed_c",
+            "2^-525", "2^-525_fixed_c"])
+    def test_nothing_to_fit_rejected(self, series, estimate_c, named):
+        # nothing to fit: the fit would return an all-zero model, marked
+        # converged, with sigma2 clamped to 1e-300
+        with pytest.raises(ValueError, match=f"^series underflows: its {named}$"):
+            fit_css(series, 1, 1, estimate_c=estimate_c)
+        with pytest.raises(ValueError, match=f"^series underflows: its {named}$"):
+            order_scan(series, 1, 1, estimate_c=estimate_c)
+
     def test_fixed_c(self):
         x = simulate(TABLE_MODEL, 2000, seed=18)
         rep = fit_css(x, 1, 1, estimate_c=False)
@@ -376,30 +417,40 @@ class TestFitCss:
 
 
 class TestUnits:
-    """With c estimated, the fit runs on the demeaned series divided by a
-    power of two that brings its RMS into [1, 2), so it does not depend on
-    the trace's units: the long-AR intercept column of the Hannan-Rissanen
-    start is O(1) while the others scale with the series."""
+    """No step of the fit has an intercept: with c fixed it runs on the
+    series, with c estimated on the demeaned series, and the long-AR stage
+    of the Hannan-Rissanen start regresses on lags alone. Every regression
+    and residual then scales with the series, so in either mode the fit
+    does not depend on the trace's units, and a power-of-two scale, being
+    exact, scales c, css, sigma2 and the residuals exactly and moves no
+    coefficient, iteration count or other standard error."""
 
     @pytest.fixture
     def x(self):
         return simulate(TABLE_MODEL, 3000, seed=1) + 5.0
 
-    @pytest.mark.parametrize("j", [-30, 20])
-    def test_power_of_two_scale_is_exact(self, x, j):
-        ref, rep = fit_css(x, 2, 2), fit_css(x * 2.0**j, 2, 2)
+    @pytest.mark.parametrize("j, estimate_c", [
+        pytest.param(j, c, id=str(j) if c else f"{j}-c_fixed")
+        for c in (True, False) for j in (-400, -30, 20, 400)])
+    def test_power_of_two_scale_is_exact(self, x, j, estimate_c):
+        ref = fit_css(x, 2, 2, estimate_c=estimate_c)
+        rep = fit_css(x * 2.0**j, 2, 2, estimate_c=estimate_c)
         assert rep.model.ar == ref.model.ar and rep.model.ma == ref.model.ma
         assert rep.converged == ref.converged and rep.iterations == ref.iterations
         assert rep.model.c == ref.model.c * 2.0**j
         assert rep.css == ref.css * 4.0**j
         assert rep.model.sigma2 == ref.model.sigma2 * 4.0**j
-        assert rep.stderr == [ref.stderr[0] * 2.0**j] + ref.stderr[1:]
+        k = 1 if estimate_c else 0  # stderr leads with c's when c is estimated
+        assert rep.stderr == [v * 2.0**j for v in ref.stderr[:k]] + ref.stderr[k:]
+        assert np.array_equal(rep.residuals, ref.residuals * 2.0**j)
 
     def test_metres_for_micrometres(self, x):
-        ref, rep = fit_css(x, 2, 2), fit_css(x * 1e-7, 2, 2)
-        assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
-                           rtol=0, atol=1e-6)
-        assert rep.model.c == pytest.approx(ref.model.c * 1e-7, rel=1e-6)
+        for estimate_c in (True, False):
+            ref = fit_css(x, 2, 2, estimate_c=estimate_c)
+            rep = fit_css(x * 1e-7, 2, 2, estimate_c=estimate_c)
+            assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
+                               rtol=0, atol=1e-6)
+            assert rep.model.c == pytest.approx(ref.model.c * 1e-7, rel=1e-6)
 
 
 class TestOffset:

@@ -365,11 +365,13 @@ class TestAnalyze:
         [0.3] * 50,
         [0.3] * 49 + [0.3 + 100 * math.ulp(0.3)],
         [3.3] * 50,
-    ], ids=["constant", "ulps_apart", "constant_above_one"])
+        [0.3] * 49 + [0.3 + math.ulp(0.3)],
+    ], ids=["constant", "ulps_apart", "constant_above_one", "one_ulp_apart"])
     def test_rounding_level_index_is_zero(self, tmp_path, capsys, values):
         # <I^2>/<I>^2 - 1 rounds below zero on each (-4.4e-16 for 0.3),
-        # constant or not, and summary.json carries its square root. The
-        # second file ends 100 ulps above the rest: enough for 50 bins.
+        # constant or not, and summary.json carries its square root. A
+        # range of 1 ulp holds no 50 bins: pdf.csv widens it as numpy
+        # widens the constant file's.
         fading = tmp_path / "fading.csv"
         fading.write_text("t_s,intensity\n" + "".join(
             f"{i * 0.01},{v!r}\n" for i, v in enumerate(values)))

@@ -236,6 +236,26 @@ class TestEmpiricalPdf:
         z = (counts - expected * width * n) / np.sqrt(expected * width * n)
         assert np.max(np.abs(z)) < 4.0
 
+    @pytest.mark.parametrize("ulps", [1, 10, 49])
+    def test_range_of_a_few_ulps_widens_like_a_constant(self, ulps):
+        # 50 bins need a range of at least 50 ulps; np.histogram refuses a
+        # narrower one ("Too many bins"), so it widens as numpy widens a zero range
+        x = np.array([0.3] * 49 + [0.3 + ulps * math.ulp(0.3)])
+        edges, density = stats.empirical_pdf(x, 50)
+        assert edges[0] == 0.3 - 0.5 and edges[-1] == x[-1] + 0.5
+        assert float(np.sum(density * np.diff(edges))) == pytest.approx(1.0)
+        const_edges, _ = stats.empirical_pdf(np.full(50, 0.3), 50)
+        assert np.allclose(edges, const_edges, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("value_range", [None, (0.0, 1.0)])
+    def test_range_that_holds_the_bins_is_numpys(self, value_range):
+        for x in (np.array([0.3] * 49 + [0.3 + 50 * math.ulp(0.3)]),
+                  np.random.default_rng(14).uniform(size=1000)):
+            edges, density = stats.empirical_pdf(x, 50, value_range)
+            ref_density, ref_edges = np.histogram(x, 50, value_range, density=True)
+            assert np.array_equal(edges, ref_edges)
+            assert np.array_equal(density, ref_density)
+
     def test_empty_and_bins(self):
         with pytest.raises(ValueError):
             stats.empirical_pdf([], 10)
