@@ -255,19 +255,14 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
 
 def residuals(model: ArmaModel, series) -> np.ndarray:
     """Invert the recursion: e_t = x_t - c - sum M_i x_{t-i} - sum N_j e_{t-j},
-    with zero pre-sample terms. Output length equals input length."""
-    return _innovations(model.c, model.ar_poly(), model.ma_poly(),
-                        np.asarray(series, dtype=float))
-
-
-def _innovations(c: float, phi: np.ndarray, theta: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    """theta(B)^-1 (phi(B) x - c) with zero pre-sample terms: phi(B) x is a
-    convolution, and one `_inverse_filter` solve inverts theta(B)."""
-    v = np.convolve(phi, x)[:x.size]
-    if c != 0.0:
-        v -= c
-    return _inverse_filter(theta, v)
+    with zero pre-sample terms. Output length equals input length. That is
+    theta(B)^-1 (phi(B) x - c): phi(B) x is a convolution, and one
+    `_inverse_filter` solve inverts theta(B)."""
+    x = np.asarray(series, dtype=float)
+    v = np.convolve(model.ar_poly(), x)[:x.size]
+    if model.c != 0.0:
+        v -= model.c
+    return _inverse_filter(model.ma_poly(), v)
 
 
 def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
@@ -278,15 +273,16 @@ def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
 
 
 def _css(params, x, p, q) -> tuple[float, np.ndarray | None]:
-    """CSS and residuals at params = (ar, ma), with c = 0; (inf, None)
-    outside the invertible region or on overflow."""
+    """CSS and residuals theta(B)^-1 phi(B) x at params = (ar, ma), with
+    c = 0; (inf, None) outside the invertible region or on overflow."""
     theta = np.concatenate(([1.0], params[p:]))
     if not _outside_unit_circle(theta):
         return float("inf"), None
     # trial steps may cross into explosive theta territory; the resulting
     # inf/nan CSS is rejected by the line search, so silence the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = _innovations(0.0, np.concatenate(([1.0], -params[:p])), theta, x)
+        phi = np.concatenate(([1.0], -params[:p]))
+        eps = _inverse_filter(theta, np.convolve(phi, x)[:x.size])
         s = float(np.dot(eps, eps))
     return (s, eps) if np.isfinite(s) else (float("inf"), None)
 
@@ -294,17 +290,23 @@ def _css(params, x, p, q) -> tuple[float, np.ndarray | None]:
 def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on the columns of A, from the
     normal equations: k x k work instead of a factorization of the tall A.
-    The minimum-norm solve keeps rank-deficient A'A usable."""
-    return np.linalg.lstsq(A.T @ A, A.T @ y, rcond=None)[0]
+    The minimum-norm solve keeps rank-deficient A'A usable. Normal
+    equations that overflow raise LinAlgError before LAPACK sees them: given
+    inf or NaN, lstsq prints to stdout and may never return."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ata, aty = A.T @ A, A.T @ y
+    if not (np.isfinite(ata).all() and np.isfinite(aty).all()):
+        raise np.linalg.LinAlgError("normal equations are not finite")
+    return np.linalg.lstsq(ata, aty, rcond=None)[0]
 
 
 def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
     residuals of a long AR(m) regression of x[m:] on its m lags, with no
     intercept (the fit's series has c = 0), m = min(20, n // 10) (at least
-    1), zero for t < m, or None when the regression is singular or has no
-    rows. It depends on the series alone: one result serves every (p, q),
-    and scaling x scales eps_hat alike."""
+    1), zero for t < m, or None when the regression is singular, overflows
+    or has no rows. It depends on the series alone: one result serves every
+    (p, q), and scaling x scales eps_hat alike."""
     n = x.size
     m = max(min(20, n // 10), 1)
     if n <= m:
@@ -325,7 +327,8 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int,
                      long_ar: tuple[int, np.ndarray | None]) -> np.ndarray:
     """Two-stage initial estimate: OLS of x on its own lags and the lags of
     the long-AR innovation proxies (`_long_ar`), solved through the normal
-    equations. Falls back to zeros if either regression is singular."""
+    equations. Falls back to zeros if either regression is singular or
+    overflows."""
     n = x.size
     k = p + q
     fallback = np.zeros(k)
@@ -400,7 +403,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
         if new_css is None:
             converged = True  # no descent direction left
             break
-        if abs(css - new_css) <= _TOL * max(css, 1e-300):
+        if abs(css - new_css) <= _TOL * css:
             css = new_css
             converged = True
             break
@@ -416,50 +419,6 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
 # where J'J is singular.
 _COMMON_FACTORS = ((0.99, 0.97), (0.9, 0.8))
 _MAX_ITER, _TOL = 500, 1e-10  # Gauss-Newton iteration cap, relative CSS tolerance
-
-
-def _common_factor_starts(nested: np.ndarray, p: int, q: int) -> list[np.ndarray]:
-    """(p, q) starts from a (p-1, q-1) parameter vector: phi and theta each
-    gain one common-factor root."""
-    starts = []
-    for a, m in _COMMON_FACTORS:
-        phi = np.convolve(np.concatenate(([1.0], -nested[:p - 1])), [1.0, -a])
-        theta = np.convolve(np.concatenate(([1.0], nested[p - 1:])), [1.0, -m])
-        starts.append(np.concatenate((-phi[1:], theta[1:])))
-    return starts
-
-
-def _minimize(x: np.ndarray, p: int, q: int, long_ar, start_params=None,
-              nested=None):
-    """Lowest-CSS Gauss-Newton end point over the deterministic start set.
-
-    Starts, in order: Hannan-Rissanen from the first stage long_ar (zeros
-    when its CSS is not finite), start_params, and for p, q >= 1 the
-    common-factor extensions of the (p-1, q-1) parameter vector `nested`,
-    which is fitted here when not given. `_gauss_newton` evaluates each
-    start once. A start whose CSS is not finite ends there at inf and never
-    wins, since the first start's CSS is finite; on ties the earlier start
-    wins. Returns (params, css, iterations, converged, eps), iterations
-    being the most any start took and eps the residuals at params. Every
-    vector is (ar, ma), and the CSS and eps are in the units of x, the
-    series as `_scaled` prepares it.
-    """
-    hr = _hannan_rissanen(x, p, q, long_ar)
-    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q)
-    if eps is None:
-        params, css, iterations, converged, eps = _gauss_newton(
-            np.zeros_like(hr), x, p, q)
-    extra = [] if start_params is None else [start_params]
-    if p > 0 and q > 0:
-        if nested is None:
-            nested = _minimize(x, p - 1, q - 1, long_ar)[0]
-        extra += _common_factor_starts(nested, p, q)
-    for s0 in extra:
-        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q)
-        iterations = max(iterations, it)
-        if cc < css:
-            params, css, converged, eps = pp, cc, conv, ee
-    return params, css, iterations, converged, eps
 
 
 def _pad_start(report: FitReport, p: int, q: int) -> np.ndarray:
@@ -528,17 +487,24 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     such a series has nothing to fit, and raises ValueError. The model
     keeps the default sample_period and units; a caller that knows the
     series' own sets them. A fit that hits the iteration cap raises
-    FitConvergenceError, whose `.report` is the best iterate.
+    FitConvergenceError, whose `.report` is the best iterate; one whose
+    Gauss-Newton normal equations overflow raises LinAlgError.
     """
-    x, mean = _scaled(series, estimate_c)
-    report = _fit_css(x, mean, p, q, start_params, None, _long_ar(x))
+    x, mean = _check_and_demean(series, estimate_c)
+    if p < 0 or q < 0:
+        raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
+    if start_params is not None:
+        start_params = np.array(start_params, dtype=float)
+        if start_params.size != p + q:
+            raise ValueError(f"start_params must have {p + q} entries")
+    report = _fit_css(x, mean, p, q, _long_ar(x), start_params)
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
     return report
 
 
-def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float | None]:
+def _check_and_demean(series, estimate_c: bool) -> tuple[np.ndarray, float | None]:
     """(x, mean): the series as the fit sees it, in its own units. With c
     fixed that is (series, None); with c estimated, x is the demeaned
     series and mean the series mean. The values must be finite and the sum
@@ -563,30 +529,46 @@ def _scaled(series, estimate_c: bool) -> tuple[np.ndarray, float | None]:
     return x, mean
 
 
-def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int,
-             start_params, nested, long_ar) -> FitReport:
-    """fit_css on the series that `_scaled` turned into (x, mean),
-    converged or not: c is estimated unless mean is None. The (ar, ma)
-    vectors start_params and nested are unit-free; nested, when given, is
-    that of the series' (p-1, q-1) fit, extended by the common-factor
-    starts instead of a fresh fit. long_ar is the `_long_ar` stage of x."""
+def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
+             start_params=None, nested: FitReport | None = None) -> FitReport:
+    """fit_css on the series that `_check_and_demean` turned into
+    (x, mean), converged or not: c is estimated unless mean is None.
+    long_ar is the `_long_ar` stage of x.
+
+    Starts, in order: Hannan-Rissanen (zeros when its CSS is not finite),
+    the unit-free (ar, ma) vector start_params, and for p, q >= 1 the
+    common-factor extensions of nested, the series' (p-1, q-1) fit, which
+    is fitted here when not given. `_gauss_newton` evaluates each start
+    once. A start whose CSS is not finite ends there at inf and never wins,
+    since the first start's CSS is finite; on ties the earlier start wins.
+    `iterations` is the most any start took."""
     n = x.size
-    if p < 0 or q < 0:
-        raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
-    k = p + q
-    if start_params is not None:
-        start_params = np.array(start_params, dtype=float)
-        if start_params.size != k:
-            raise ValueError(f"start_params must have {k} entries")
-    params, css, iterations, converged, eps = _minimize(
-        x, p, q, long_ar, start_params, nested)
+    hr = _hannan_rissanen(x, p, q, long_ar)
+    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q)
+    if eps is None:
+        params, css, iterations, converged, eps = _gauss_newton(
+            np.zeros_like(hr), x, p, q)
+    starts = [] if start_params is None else [start_params]
+    if p > 0 and q > 0:
+        if nested is None:
+            nested = _fit_css(x, mean, p - 1, q - 1, long_ar)
+        for a, m in _COMMON_FACTORS:  # phi and theta each gain one root
+            phi = np.convolve(nested.model.ar_poly(), [1.0, -a])
+            theta = np.convolve(nested.model.ma_poly(), [1.0, -m])
+            starts.append(np.concatenate((-phi[1:], theta[1:])))
+    for s0 in starts:
+        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q)
+        iterations = max(iterations, it)
+        if cc < css:
+            params, css, converged, eps = pp, cc, conv, ee
     ar, ma = params[:p], params[p:]
 
+    k = p + q
     dof = n - p - q - 1  # positive, by the length check
-    sigma2 = max(css / dof, 1e-300)
+    sigma2 = css / dof
     cov = np.empty((0, 0))
     if k > 0:
         J = _jacobian(params, eps, x, p, q)
@@ -636,7 +618,7 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     """
     if p_max < 0 or q_max < 0:
         raise ValueError("p_max and q_max must be >= 0")
-    x, mean = _scaled(series, estimate_c)
+    x, mean = _check_and_demean(series, estimate_c)
     long_ar = _long_ar(x)  # one first stage serves the whole grid
     rows = []
     fitted: dict[tuple[int, int], FitReport] = {}
@@ -647,11 +629,8 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
                    "bic": float("nan"), "css": float("nan"), "error": None}
             prev = [fitted[k] for k in ((p - 1, q), (p, q - 1)) if k in fitted]
             start = _pad_start(min(prev, key=lambda r: r.css), p, q) if prev else None
-            nested = fitted.get((p - 1, q - 1))
-            if nested is not None:
-                nested = _pad_start(nested, p - 1, q - 1)
             try:
-                rep = _fit_css(x, mean, p, q, start, nested, long_ar)
+                rep = _fit_css(x, mean, p, q, long_ar, start, fitted.get((p - 1, q - 1)))
             except (ValueError, np.linalg.LinAlgError) as exc:
                 row["error"] = str(exc)
             else:

@@ -126,7 +126,7 @@ def scintillation_index(intensities) -> float:
     return max(si, 0.0)
 
 
-def empirical_pdf(series, bin_count: int, value_range: tuple[float, float] | None = None):
+def empirical_pdf(series, bin_count: int):
     """Histogram density: (bin_edges, densities) with
     sum(density * bin_width) == 1.
 
@@ -138,7 +138,8 @@ def empirical_pdf(series, bin_count: int, value_range: tuple[float, float] | Non
         raise ValueError("series must be non-empty")
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
-    lo, hi = (x.min(), x.max()) if value_range is None else value_range
+    lo, hi = x.min(), x.max()
+    value_range = None
     if lo < hi and np.any(np.diff(np.linspace(lo, hi, bin_count + 1)) <= 0):
         value_range = (lo - 0.5, hi + 0.5)
     density, edges = np.histogram(x, bins=bin_count, range=value_range, density=True)

@@ -404,7 +404,7 @@ class TestFitCss:
             "2^-525", "2^-525_fixed_c"])
     def test_nothing_to_fit_rejected(self, series, estimate_c, named):
         # nothing to fit: the fit would return an all-zero model, marked
-        # converged, with sigma2 clamped to 1e-300
+        # converged, with a sigma2 of zero or lost to rounding
         with pytest.raises(ValueError, match=f"^series underflows: its {named}$"):
             fit_css(series, 1, 1, estimate_c=estimate_c)
         with pytest.raises(ValueError, match=f"^series underflows: its {named}$"):
@@ -443,6 +443,20 @@ class TestUnits:
         k = 1 if estimate_c else 0  # stderr leads with c's when c is estimated
         assert rep.stderr == [v * 2.0**j for v in ref.stderr[:k]] + ref.stderr[k:]
         assert np.array_equal(rep.residuals, ref.residuals * 2.0**j)
+
+    @pytest.mark.parametrize("j, estimate_c", [
+        pytest.param(j, c, id=str(j) if c else f"{j}-c_fixed")
+        for c in (True, False) for j in (-505, -510)])
+    def test_scale_below_a_css_of_1e_300(self, x, j, estimate_c):
+        # sigma2 falls below 1e-300 at 2^-505 and the CSS too at 2^-510; no
+        # constant floors either of them or the Gauss-Newton tolerance
+        ref = fit_css(x, 2, 2, estimate_c=estimate_c)
+        rep = fit_css(x * 2.0**j, 2, 2, estimate_c=estimate_c)
+        assert rep.css == ref.css * 4.0**j
+        assert rep.model.sigma2 == ref.model.sigma2 * 4.0**j
+        assert rep.iterations == ref.iterations
+        assert np.allclose(rep.model.ar + rep.model.ma, ref.model.ar + ref.model.ma,
+                           rtol=0, atol=1e-12)
 
     def test_metres_for_micrometres(self, x):
         for estimate_c in (True, False):

@@ -48,22 +48,22 @@ def write_overflowing_trace(tmp_path, scale):
     return str(trace)
 
 
-def failed_cleanly_fresh(tmp_path, named, *argv):
-    """Runs argv in a fresh interpreter and expects exit 1, no stdout, one
-    `error: ValueError:` line ending in `named`, and no file in the output
-    directory. A fresh interpreter, because pytest turns warnings into
-    errors (which main would print as one line) and LAPACK prints its
-    complaints on the process's own stdout."""
+def failed_cleanly_fresh(tmp_path, named, *argv, error="ValueError", timeout=120):
+    """Runs argv in a fresh interpreter and expects exit 1 within timeout
+    seconds, no stdout, one `error: <error>:` line ending in `named`, and no
+    file in the output directory. A fresh interpreter, because pytest turns
+    warnings into errors (which main would print as one line) and LAPACK
+    prints its complaints on the process's own stdout."""
     out = tmp_path / "out"
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(beamwander.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "beamwander.cli", "--out-dir", str(out), *argv],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=env, timeout=timeout)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"error: ValueError: {named}"]
+    assert proc.stderr.splitlines() == [f"error: {error}: {named}"]
     assert list(out.iterdir()) == []
 
 
@@ -277,6 +277,24 @@ class TestFit:
         failed_cleanly_fresh(tmp_path, named, "fit", "--trace",
                              write_overflowing_trace(tmp_path, scale),
                              "--p", "1", "--q", "0")
+
+    @pytest.mark.parametrize("seed, offset", [(6, 0.0), (1, 5.0)], ids=["6", "1+5"])
+    @pytest.mark.parametrize("fix_c", [True, False], ids=["fix_c", "estimate_c"])
+    def test_overflowing_normal_equations_fail_cleanly(self, tmp_path, seed, offset,
+                                                       fix_c):
+        # every sum of squares is finite at 2^500, but 1/theta(B) amplifies the
+        # Gauss-Newton regressors past the float range; given the overflowed
+        # normal equations, LAPACK printed on stdout and, at seed 6 with c
+        # fixed, did not return
+        model = arma.ArmaModel.from_dict(TABLE_MODEL)
+        xs = (arma.simulate(model, 3000, seed=seed) + offset) * 2.0**500
+        trace = tmp_path / "trace.csv"
+        ingest.write_trace(ingest.WanderTrace(xs=xs, ys=xs, sample_period=1 / 300),
+                           str(trace))
+        failed_cleanly_fresh(tmp_path, "normal equations are not finite",
+                             "fit", "--trace", str(trace), "--p", "2", "--q", "2",
+                             *(["--fix-c"] if fix_c else []),
+                             error="LinAlgError", timeout=60)
 
 
 class TestAnalyze:

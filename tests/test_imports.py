@@ -1,7 +1,7 @@
 """Start-up cost: only the fit imports a scipy module, and only
-scipy.linalg. Every name a package module imports is used, one function
-alone calls np.roots, and the package defines only the classes listed in
-CLASSES.
+scipy.linalg. Every name a package module imports is used, and so is
+every private name it defines; one function alone calls np.roots, and the
+package defines only the classes listed in CLASSES.
 
 Importing scipy.signal takes longer than most commands' own work, and
 scipy.special alone costs about as much as a short command, so
@@ -115,6 +115,35 @@ def test_every_imported_name_is_used(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _defined_names(node) -> set:
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))),
+                         ids=os.path.basename)
+def test_every_private_name_is_used(path):
+    # a module-level _name serves its own module alone, so one that no
+    # other statement of the module reads (a call from its own body does
+    # not count) is dead code, such as a helper left behind by a fold
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    reads = [{n.id for n in ast.walk(node)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+             for node in tree.body]
+    unused = [name for i, node in enumerate(tree.body)
+              for name in sorted(_defined_names(node))
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in r for j, r in enumerate(reads) if j != i)]
+    assert unused == []
 
 
 def _roots_callers(node, where):
