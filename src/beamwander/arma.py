@@ -18,13 +18,18 @@ messages and tests; it decides nothing.
 Two filters serve it. Simulation runs the forward recursion
 theta(B)/phi(B) once per series in `_recurse`, with numpy alone. The fit
 inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution and
-one LAPACK banded triangular solve (`_inverse_filter`), which loads
-scipy.linalg on first use.
+one LAPACK banded triangular solve (`_inverse_filter`). Its first solve
+loads LAPACK dtbtrs from scipy's compiled `_flapack` extension alone
+(`_dtbtrs`), without the scipy.linalg package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -41,20 +46,59 @@ GENERATOR_NAME = "numpy.random.PCG64"
 # bit for bit, so the series is reproducible outside this module.
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _dtbtrs():
+    """LAPACK dtbtrs, loaded once: the f2py routine that
+    scipy.linalg.lapack.dtbtrs exports, so every result is the same bit for
+    bit, without the scipy.linalg package init, which costs about 0.2 s.
+
+    A `_flapack` module already imported (scipy.signal loads scipy.linalg)
+    is reused. Otherwise the extension is loaded from scipy's linalg
+    directory, which find_spec locates without importing scipy, and is left
+    out of sys.modules, where a single-phase extension enters itself. If
+    scipy's layout has moved, the routine comes from scipy.linalg.lapack.
+    """
+    try:
+        flapack = sys.modules.get(_FLAPACK) or _load_flapack()
+        return flapack.dtbtrs
+    except (ImportError, OSError, AttributeError):
+        from scipy.linalg.lapack import dtbtrs
+        return dtbtrs
+
+
+def _load_flapack():
+    """scipy's `_flapack` extension, loaded from its file and not
+    registered in sys.modules."""
+    linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                          "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if sys.modules.get(_FLAPACK) is module:
+                del sys.modules[_FLAPACK]
+            return module
+    raise ImportError(f"no _flapack extension in {linalg}")
+
+
 def _inverse_filter(theta, v) -> np.ndarray:
     """theta(B)^-1 v with zero pre-sample terms, for a monic theta: the fit's
     filter, equal to scipy.signal.lfilter([1], theta, v) up to rounding.
 
     theta(B) is then a unit lower-triangular banded Toeplitz matrix, so the
-    filter is one LAPACK dtbtrs solve on its (q + 1, n) band. scipy.linalg
-    is imported here on first use, so that commands that never fit do not
-    pay for the import. With q = 0, v is returned as is.
+    filter is one LAPACK dtbtrs solve on its (q + 1, n) band. The routine
+    is loaded on the first solve (`_dtbtrs`), so that commands that never
+    fit load nothing of scipy. With q = 0, v is returned as is.
     """
     if len(theta) == 1:
         return v
-    from scipy.linalg.lapack import dtbtrs
     ab = np.tile(theta, (len(v), 1)).T  # row k holds theta_k: LAPACK band storage
-    return dtbtrs(ab, v, uplo="L", diag="U")[0]
+    return _dtbtrs()(ab, v, uplo="L", diag="U")[0]
 
 
 def _recurse(b, a, x) -> np.ndarray:
@@ -584,7 +628,14 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
                  + mean ** 2 * float(np.sum(cov[:p, :p])))
         var = np.concatenate(([var_c], var))
     stderr = [math.sqrt(v) if v > 0 else float("nan") for v in var]
-    loglik = -0.5 * n * (math.log(2.0 * math.pi * css / n) + 1.0) if css > 0 else 0.0
+    loglik = 0.0
+    if css > 0:
+        # 2 pi css overflows above a css of 2.9e307, and only there is the log
+        # split: elsewhere the split log would differ in the last bit
+        s = 2.0 * math.pi * css / n
+        log_s = (math.log(s) if math.isfinite(s)
+                 else math.log(2.0 * math.pi) + math.log(css / n))
+        loglik = -0.5 * n * (log_s + 1.0)
     k_ic = k + (mean is not None) + 1  # + c when estimated, + innovation variance
     aic, bic = information_criteria(loglik, k_ic, n)
     return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +232,66 @@ class TestInverseFilter:
                         assert err <= 1e-12 * np.max(np.abs(expect))
 
 
+# Runs in a fresh interpreter, where no scipy module is loaded yet: dtbtrs
+# through arma's direct load of _flapack, then through scipy.linalg.lapack.
+DTBTRS_SCRIPT = r"""
+import json, sys
+import numpy as np
+from beamwander import arma
+direct = arma._dtbtrs()
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+from scipy.linalg.lapack import dtbtrs
+same = []
+for q in range(1, 6):
+    for n in (3000, 100_000):
+        rng = np.random.default_rng([q, n])
+        theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))[::-1]  # roots outside
+        ab = np.tile(theta, (n, 1)).T
+        v = rng.normal(3.0, 10.0, n)
+        got, expect = (f(ab, v, uplo="L", diag="U") for f in (direct, dtbtrs))
+        same.append([got[0].tobytes() == expect[0].tobytes(), got[1] == expect[1]])
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
+
+
+class TestDtbtrs:
+    """arma loads LAPACK dtbtrs from scipy's _flapack extension without the
+    scipy.linalg package, and falls back to scipy.linalg.lapack when that
+    load fails; both routes give the same bits."""
+
+    def test_direct_load_equals_scipy_linalg(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(arma.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", DTBTRS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        result = json.loads(proc.stdout)
+        assert result["loaded"] == []  # the direct route, leaving nothing registered
+        assert result["same"] == [[True, True]] * 10
+
+    def test_fallback_fits_alike(self, monkeypatch):
+        x = simulate(TABLE_MODEL, 3000, seed=19)
+        direct = fit_css(x, 2, 2)
+        calls = []
+
+        def fail():
+            calls.append(1)
+            raise ImportError("no _flapack")
+
+        # scipy.signal, imported above, has loaded _flapack through scipy.linalg
+        monkeypatch.delitem(sys.modules, arma._FLAPACK)
+        monkeypatch.setattr(arma, "_load_flapack", fail)
+        arma._dtbtrs.cache_clear()
+        try:
+            fallback = fit_css(x, 2, 2)
+        finally:
+            arma._dtbtrs.cache_clear()
+        assert calls == [1]  # tried once, then cached
+        assert fallback.model == direct.model
+        assert fallback.css == direct.css
+        assert fallback.residuals.tobytes() == direct.residuals.tobytes()
+
+
 @st.composite
 def root_polys(draw, max_factors=2):
     """1 + a_1 z + ... from up to max_factors real or conjugate-pair
@@ -414,6 +477,20 @@ class TestFitCss:
         x = simulate(TABLE_MODEL, 2000, seed=18)
         rep = fit_css(x, 1, 1, estimate_c=False)
         assert rep.model.c == 0.0
+
+    def test_loglik_finite_when_2pi_css_overflows(self):
+        # css = 1.29e308 is finite, but 2 pi css is not: the log-likelihood
+        # read -inf, so (0,0) and (1,0) scored BIC inf and the scan,
+        # with no admissible cell left, raised
+        x = simulate(TABLE_MODEL, 3000, seed=6) * 2.0**500
+        rep = fit_css(x, 0, 0, estimate_c=False)
+        assert rep.css > sys.float_info.max / (2.0 * math.pi)
+        assert all(map(math.isfinite, (rep.loglik, rep.aic, rep.bic)))
+        assert rep.loglik == pytest.approx(
+            -0.5 * x.size * (math.log(2.0 * math.pi * (rep.css / x.size)) + 1.0))
+        rows, fits, selected = order_scan(x, 3, 3, estimate_c=False)
+        assert selected == (3, 0)
+        assert math.isfinite(fits[selected].bic)
 
 
 class TestUnits:

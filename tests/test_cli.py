@@ -296,6 +296,21 @@ class TestFit:
                              *(["--fix-c"] if fix_c else []),
                              error="LinAlgError", timeout=60)
 
+    def test_scan_of_an_overflowing_css_names_the_residuals(self, tmp_path):
+        # the (0,0) cell's css, 1.29e308, is finite while 2 pi css is not; its
+        # log-likelihood read -inf and the scan failed with "no admissible
+        # fits". The scan now selects (3,0), whose residuals' fourth moment
+        # overflows in the diagnostics
+        model = arma.ArmaModel.from_dict(TABLE_MODEL)
+        xs = arma.simulate(model, 3000, seed=6) * 2.0**500
+        trace = tmp_path / "trace.csv"
+        ingest.write_trace(ingest.WanderTrace(xs=xs, ys=xs, sample_period=1 / 300),
+                           str(trace))
+        failed_cleanly_fresh(tmp_path,
+                             "residuals overflow: their fourth moment is not finite",
+                             "fit", "--trace", str(trace), "--scan", "3", "3", "--fix-c",
+                             timeout=60)
+
 
 class TestAnalyze:
     def test_hand_checked_rld(self, tmp_path, capsys):
