@@ -17,14 +17,18 @@ import numpy as np
 
 def fading_trace(xs, ys, omega_st: float) -> np.ndarray:
     """Received intensity exp(-2 (bx^2 + by^2) / omega_st^2) at every
-    sample of a wander trace; rotationally symmetric in the offsets."""
+    sample of a wander trace; rotationally symmetric in the offsets. An
+    offset whose square overflows receives 0, the limit of a far beam."""
     if not omega_st > 0:
         raise ValueError("omega_st must be positive")
+    if not 0 < omega_st * omega_st < math.inf:  # no 0/0 or inf/inf below
+        raise ValueError(f"omega_st must have a finite, non-zero square, got {omega_st}")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:
         raise ValueError("xs and ys must have equal length")
-    return np.exp(-2.0 * (x**2 + y**2) / omega_st**2)
+    with np.errstate(over="ignore"):  # an inf square gives exp(-inf) = 0
+        return np.exp(-2.0 * (x**2 + y**2) / omega_st**2)
 
 
 def memoryless_sample(gamma: float, n: int, seed: int) -> np.ndarray:

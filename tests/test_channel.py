@@ -91,6 +91,19 @@ class TestFadingTrace:
         with pytest.raises(ValueError):
             fading_trace([1.0], [1.0, 2.0], 1.0)
 
+    def test_overflowing_offset_fades_to_zero(self):
+        # 1e300**2 overflows; exp(-inf) = 0 is the far-beam limit, with
+        # no warning (pytest makes warnings errors) and no NaN
+        tr = fading_trace([1e300, -1e300, 0.0, 1.0], [0.0, 1e300, 0.0, 0.0], 1.0)
+        assert tr.tolist() == [0.0, 0.0, 1.0, math.exp(-2.0)]
+
+    @pytest.mark.parametrize("omega_st", [1e-200, 1e200])
+    def test_omega_st_with_no_finite_square_refused(self, omega_st):
+        # a square that underflows to 0 would give 0/0 = NaN at a zero
+        # offset, and one that overflows raised a bare OverflowError
+        with pytest.raises(ValueError, match="omega_st must have a finite, non-zero square"):
+            fading_trace([0.0, 1.0], [0.0, 1.0], omega_st)
+
     def test_table_model_matches_power_law(self):
         # two independent axis simulations -> intensity PDF close to I^gamma
         xs = arma.simulate(TABLE_MODEL, 3000, seed=21)

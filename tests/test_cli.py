@@ -649,6 +649,46 @@ class TestModelFile:
         failed_cleanly(code, out, capsys, str(path))
 
 
+class TestOverflowingModel:
+    """A model whose series is about 6.5e299, so that its squared offsets
+    overflow. Intensity is then 0, the far-beam limit; pytest makes any
+    warning an error, which main would print as the one `error:` line."""
+
+    @pytest.fixture
+    def big_model(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"c": 1e300, "ar": [-0.5287], "ma": [0.135, -0.0877], '
+                        '"sigma2": 1.0}')
+        return str(path)
+
+    def test_simulate_fades_to_zero(self, tmp_path, capsys, big_model):
+        code, out = run(tmp_path, "simulate", "--model", big_model, "--n", "50",
+                        "--omega-st", "1.0")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        fading = ingest.read_csv(str(out / "fading.csv"), cli.FADING_HEADER)
+        assert fading.shape == (50, 2) and (fading[:, 1] == 0.0).all()
+
+    def test_compare_runs(self, tmp_path, capsys, big_model):
+        code, out = run(tmp_path, "compare", "--model", big_model, "--gamma", "0.7",
+                        "--n", "50", "--seeds", "2", "--omega-st", "1.0")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "comparison.json").read_text())["seeds"] == 2
+
+    def test_crosstalk_of_it_refused(self, tmp_path, capsys, big_model):
+        code, out = run(tmp_path, "simulate", "--model", big_model, "--n", "50",
+                        "--omega-st", "1.0", "--l-max", "2")
+        failed_cleanly(code, out, capsys, "ValueError: sample 0: offset of inf beam radii")
+
+    @pytest.mark.parametrize("omega_st", ["1e-200", "1e200"])
+    def test_omega_st_without_finite_square_refused(self, tmp_path, capsys, model_path,
+                                                    omega_st):
+        code, out = run(tmp_path, "simulate", "--model", model_path,
+                        "--n", "50", "--omega-st", omega_st)
+        failed_cleanly(code, out, capsys, "omega_st must have a finite, non-zero square")
+
+
 class TestInputBytes:
     """Undecodable bytes and a malformed trace sidecar fail with one
     `error:` line naming the offending file, before anything is written."""

@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import json
+import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -352,6 +355,25 @@ def repeated_columns(draw):
     return [distinct[i] for i in picks]
 
 
+def same_bytes_as_reference(d, header, columns):
+    """write_csv and reference_csv write the same bytes into directory d."""
+    write_csv(f"{d}/t.csv", header, columns)
+    reference_csv(f"{d}/ref.csv", header,
+                  [c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+    with open(f"{d}/t.csv", "rb") as a, open(f"{d}/ref.csv", "rb") as b:
+        return a.read() == b.read()
+
+
+def mixed_table(n):
+    """n rows of str, int, bool and wide-ranging float columns."""
+    rng = np.random.default_rng(9)
+    return (["side", "k", "flag", "value"],
+            [["above", "below"] * (n // 2) + ["above"] * (n % 2),
+             rng.integers(-10**12, 10**12, n).tolist(),
+             (rng.random(n) < 0.5).tolist(),
+             (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()])
+
+
 class TestCsvIO:
     @settings(max_examples=200, deadline=None)
     @given(table=float_tables())
@@ -359,12 +381,8 @@ class TestCsvIO:
     def test_float_round_trip_bitwise(self, table):
         header = [f"c{i}" for i in range(table.shape[1])]
         with tempfile.TemporaryDirectory() as d:
-            path, ref = f"{d}/t.csv", f"{d}/ref.csv"
-            write_csv(path, header, list(table.T))
-            reference_csv(ref, header, [c.tolist() for c in table.T])
-            with open(path, "rb") as a, open(ref, "rb") as b:
-                assert a.read() == b.read()
-            back = read_csv(path, header)
+            assert same_bytes_as_reference(d, header, list(table.T))
+            back = read_csv(f"{d}/t.csv", header)
         assert back.view(np.int64).tolist() == table.view(np.int64).tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -373,11 +391,7 @@ class TestCsvIO:
     def test_repeated_columns_bitwise(self, columns):
         header = [f"c{i}" for i in range(len(columns))]
         with tempfile.TemporaryDirectory() as d:
-            path, ref = f"{d}/t.csv", f"{d}/ref.csv"
-            write_csv(path, header, columns)
-            reference_csv(ref, header, [c.tolist() for c in columns])
-            with open(path, "rb") as a, open(ref, "rb") as b:
-                assert a.read() == b.read()
+            assert same_bytes_as_reference(d, header, columns)
 
     def test_unequal_lengths_rejected(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -387,16 +401,7 @@ class TestCsvIO:
 
     def test_mixed_columns_across_blocks(self, tmp_path):
         # more rows than one formatting block, with str, int and bool columns
-        rng = np.random.default_rng(9)
-        n = 2 * ingest._BLOCK_ROWS + 3
-        columns = [["above", "below"] * (n // 2) + ["above"],
-                   rng.integers(-10**12, 10**12, n).tolist(),
-                   (rng.random(n) < 0.5).tolist(),
-                   (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()]
-        header = ["side", "k", "flag", "value"]
-        write_csv(str(tmp_path / "t.csv"), header, columns)
-        reference_csv(str(tmp_path / "ref.csv"), header, columns)
-        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert same_bytes_as_reference(tmp_path, *mixed_table(2 * ingest._BLOCK_ROWS + 3))
 
     def test_write_json_refuses_non_finite(self, tmp_path):
         path = str(tmp_path / "out.json")
@@ -410,6 +415,158 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="line 4"):
             read_trace(str(path))
 
+
+@contextlib.contextmanager
+def many_parts(cpus):
+    """write_csv with 8-row blocks and no part minimum on `cpus` CPUs: the
+    hypothesis sizes of TestCsvIO then give up to 4 parts on 4 CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_ROWS", 8)
+        mp.setattr(ingest, "_MIN_PART_BLOCKS", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        yield
+
+
+CPUS = pytest.mark.parametrize("cpus", [4, 1])
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestCsvParts:
+    """The forked writers of write_csv: the bytes do not depend on the
+    number of parts, and each failure is reported by the caller and
+    leaves no child process."""
+
+    @CPUS
+    @settings(max_examples=100, deadline=None)
+    @given(table=float_tables())
+    @example(table=np.array([[5e-324, -0.0], [0.0, 1e308], [-1e308, -2.5e-310]] * 10))
+    def test_float_round_trip_bitwise(self, cpus, table):
+        header = [f"c{i}" for i in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as d, many_parts(cpus):
+            assert same_bytes_as_reference(d, header, list(table.T))
+
+    @CPUS
+    @settings(max_examples=40, deadline=None)
+    @given(columns=repeated_columns())
+    @example(columns=[np.resize([-0.0, 5e-324, 1.5], 33)] * 3)
+    def test_repeated_columns_bitwise(self, cpus, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as d, many_parts(cpus):
+            assert same_bytes_as_reference(d, header, columns)
+
+    @CPUS
+    def test_mixed_columns(self, tmp_path, cpus):
+        with many_parts(cpus):
+            assert same_bytes_as_reference(tmp_path, *mixed_table(29))
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with many_parts(4), pytest.raises(
+                ValueError, match="^" + path + ": columns differ in length"):
+            write_csv(path, ["a", "b"], [np.zeros(300), np.zeros(299)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_part_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        m = ingest._MIN_PART_BLOCKS
+        assert [ingest._part_count(b) for b in (0, 1, 2 * m - 1, 2 * m, 4 * m - 1, 99 * m)] \
+            == [1, 1, 1, 2, 3, 4]
+        # every 3000-row file (paper scale, and each frames trace) is one part
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(256)))
+        assert ingest._part_count(-(-3000 // ingest._BLOCK_ROWS)) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ingest._part_count(99 * m) == 1
+
+    def test_no_fork_one_part(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with many_parts(4):
+            assert ingest._part_count(4) == 1
+            assert same_bytes_as_reference(tmp_path, *mixed_table(29))
+
+    @pytest.fixture
+    def two_parts(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_MIN_PART_BLOCKS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        return [np.arange(4000.0) / 3, np.arange(4000)]
+
+    def test_failing_child_raises_os_error(self, tmp_path, monkeypatch, capfd, two_parts):
+        parent, write_rows = os.getpid(), ingest._write_rows
+
+        def fail_in_child(fh, cols, starts):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            write_rows(fh, cols, starts)
+
+        monkeypatch.setattr(ingest, "_write_rows", fail_in_child)
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(OSError, match="^" + path + ": .*exit status 1"):
+            write_csv(path, ["a", "b"], two_parts)
+        assert capfd.readouterr() == ("", "")
+        assert no_child_left()
+
+    def test_parent_error_kills_children(self, tmp_path, monkeypatch, two_parts):
+        parent = os.getpid()
+
+        def slow_child_failing_parent(fh, cols, starts):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ingest, "_write_rows", slow_child_failing_parent)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], two_parts)
+        assert time.perf_counter() - t0 < 30
+        assert no_child_left()
+
+    def test_fork_warning_on_threads_ignored(self, tmp_path, monkeypatch, two_parts):
+        # Python >= 3.12 warns when a process with other threads forks;
+        # pytest makes that warning an error, which would lose the child
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                import warnings
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                              "use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], two_parts)
+        reference_csv(str(tmp_path / "ref.csv"), ["a", "b"], [c.tolist() for c in two_parts])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert no_child_left()
+
+    def test_crosstalk_command_in_parts(self, tmp_path, monkeypatch, capsys):
+        # two parts of _MIN_PART_BLOCKS blocks each, at the constant as set
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        n = 2 * ingest._MIN_PART_BLOCKS * ingest._BLOCK_ROWS
+        xs, ys = np.random.default_rng(4).normal(size=(2, n))
+        trace = str(tmp_path / "trace.csv")
+        write_trace(WanderTrace(xs=xs, ys=ys, sample_period=0.01), trace)
+        assert len(forks) == 1
+        argv = ["crosstalk", "--trace", trace, "--omega-st", "1.0", "--l-max", "5"]
+        assert cli.main(["--out-dir", str(tmp_path / "parts"), *argv]) == 0
+        assert len(forks) == 2
+        assert capsys.readouterr().err == ""
+        assert no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli.main(["--out-dir", str(tmp_path / "one"), *argv]) == 0
+        assert len(forks) == 2
+        assert (tmp_path / "parts" / "crosstalk.csv").read_bytes() == \
+            (tmp_path / "one" / "crosstalk.csv").read_bytes()
 
 # arbitrary bytes, and bytes after a valid first line, so that both the
 # header checks and the row parser see them
