@@ -59,10 +59,11 @@ def estimate_gamma(intensities) -> float:
 def oam_spectrum(r_c: float, omega_st: float, l_max: int) -> np.ndarray:
     """Detected OAM spectrum for a lateral displacement r_c: the weights
     C_l = exp(-r^2/w^2) I_|l|(r^2/w^2) for l = -l_max..l_max, entry
-    l + l_max; the one-sample crosstalk_trace."""
+    l + l_max; the one-sample crosstalk_trace, mirrored (C_-l = C_l)."""
     if r_c < 0:
         raise ValueError("r_c must be >= 0")
-    return crosstalk_trace([r_c], [0.0], omega_st, l_max)[1][0]
+    half = crosstalk_trace([r_c], [0.0], omega_st, l_max)[1][0]
+    return np.concatenate((half[:0:-1], half))
 
 
 # largest a = r_c^2/omega_st^2 accepted, an offset of about 32768 beam radii: a
@@ -85,15 +86,15 @@ def _ive_rows(a: np.ndarray, l_max: int) -> np.ndarray:
     far below rounding, and the Neumann sum e^a = I_0 + 2 sum_k I_k, in
     Horner form T_k = r_k (1 + T_{k+1}), fixes e^-a I_0 = 1/(1 + 2 T_1); then
     e^-a I_l = e^-a I_0 r_1 ... r_l. Nothing divides by a, a row at a = 0 is
-    exactly [1, 0, ...], and a row sums to at most 1 by construction. Above
-    it, the Hankel expansion (Abramowitz & Stegun 9.7.1) to 40 terms.
+    exactly [1, 0, ...], and C_0 + 2 (C_1 + ... + C_l_max) <= 1 by
+    construction. Above it, the Hankel expansion (Abramowitz & Stegun
+    9.7.1) to 40 terms.
     """
-    out = np.empty((a.size, l_max + 1))
     big = a > _hankel_from(l_max)
-    s = a[~big]
+    s = np.where(big, 0.0, a)
     r = np.zeros_like(s)
     t = np.zeros_like(s)
-    rows = np.empty((s.size, l_max + 1))
+    rows = np.empty((a.size, l_max + 1))
     for k in range(l_max + math.ceil(9.0 * math.sqrt(s.max(initial=0.0))) + 30, 0, -1):
         # in place: r = s / (2k + s r), t = r (1 + t)
         np.multiply(s, r, out=r)
@@ -104,7 +105,7 @@ def _ive_rows(a: np.ndarray, l_max: int) -> np.ndarray:
         if k <= l_max:
             rows[:, k] = r
     rows[:, 0] = 1.0 / (1.0 + 2.0 * t)
-    out[~big] = np.cumprod(rows, axis=1)
+    np.cumprod(rows, axis=1, out=rows)
     b = a[big][:, None]
     mu = 4.0 * np.arange(l_max + 1) ** 2
     term = np.ones((b.size, l_max + 1))
@@ -112,16 +113,16 @@ def _ive_rows(a: np.ndarray, l_max: int) -> np.ndarray:
     for k in range(1, 41):
         term = term * (mu - (2 * k - 1) ** 2) / (-8.0 * k * b)
         total += term
-    out[big] = total / np.sqrt(2.0 * np.pi * b)
-    return out
+    rows[big] = total / np.sqrt(2.0 * np.pi * b)
+    return rows
 
 
 def crosstalk_trace(xs, ys, omega_st: float, l_max: int):
     """OAM mode weights along a wander trace, as (r_norm, weights).
 
     r_norm is r_{c,t}/omega_st with r_{c,t}^2 = bx_t^2 + by_t^2, and
-    weights[t, l + l_max] is C_l = exp(-a) I_|l|(a), a = r_norm_t^2, for
-    l = -l_max..l_max, from one _ive_rows pass; C_-l is a copy of C_l."""
+    weights[t, l] is C_l = exp(-a) I_l(a), a = r_norm_t^2, for l = 0..l_max
+    (C_-l = C_l), an (n, l_max + 1) array from one _ive_rows pass."""
     if not omega_st > 0:
         raise ValueError("omega_st must be positive")
     if l_max < 0:
@@ -139,5 +140,4 @@ def crosstalk_trace(xs, ys, omega_st: float, l_max: int):
         raise ValueError(f"sample {i}: offset of {r_norm[i]:.6g} beam radii, "
                          f"beyond the Bessel kernel's {_IVE_MAX_ARG ** 0.5:.6g}; "
                          f"are the trace and omega_st in the same units?")
-    half = _ive_rows(a, l_max)  # l = 0..l_max
-    return r_norm, np.concatenate((half[:, :0:-1], half), axis=1)
+    return r_norm, _ive_rows(a, l_max)

@@ -45,11 +45,11 @@ def _rld_table(above, below) -> tuple:
 
 
 def _crosstalk_table(t, r_norm, weights) -> tuple:
-    """The crosstalk.csv table. C_-l is a copy of C_l (crosstalk_trace), so
-    the same C_l column object fills both, and write_csv formats it once."""
-    l_max = weights.shape[1] // 2
+    """The crosstalk.csv table of modes -l_max..l_max from crosstalk_trace's
+    C_0..C_l_max: one C_l column object fills C_-l too, formatted once."""
+    half = list(weights.T)  # C_0 .. C_l_max
+    l_max = len(half) - 1
     header = ["t_s", "r_c_norm"] + [f"C_{l}" for l in range(-l_max, l_max + 1)]
-    half = list(weights[:, l_max:].T)  # C_0 .. C_l_max
     return header, [t, r_norm, *half[:0:-1], *half]
 
 
@@ -152,8 +152,9 @@ def cmd_analyze(args) -> dict:
     # first, so that intensities whose mean overflows are named as such,
     # not as a bad --threshold
     si = stats.scintillation_index(intens)
-    try:
-        threshold = float(np.mean(intens) if args.threshold == "mean" else args.threshold)
+    try:  # clipped, as the mean of equal values can round outside them
+        threshold = float(np.clip(np.mean(intens), intens.min(), intens.max())
+                          if args.threshold == "mean" else args.threshold)
     except ValueError:
         threshold = math.nan
     if not math.isfinite(threshold):
@@ -171,7 +172,8 @@ def cmd_analyze(args) -> dict:
         "max_run_length_below": int(below.max(initial=0)),
     }
     positive = intens[(intens > 0) & (intens <= 1)]
-    if positive.size >= 10 and np.any(positive < 1):
+    # unequal values, as the index of equal ones can round above 0
+    if si > 0 and positive.size >= 10 and np.ptp(positive) > 0:
         summary["gamma_hat"] = channel.estimate_gamma(positive)
     if tr is not None:
         summary["radial_variance"] = stats.radial_variance(tr.xs, tr.ys)

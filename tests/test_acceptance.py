@@ -249,7 +249,8 @@ def test_criterion_12_crosstalk_memory():
     for seed in SEEDS:
         xs, ys = simulate_pair(seed, 3000)
         _, weights = channel.crosstalk_trace(xs, ys, OMEGA_GAMMA07, 3)
-        c0 = weights[:, 3]
+        assert weights.shape == (3000, 4)  # C_0..C_3
+        c0 = weights[:, 0]
         hits += int(stats.acf(c0, 1)[1] > stats.significance_bound(c0.size))
     report(12, "crosstalk temporal memory", hits == 20,
            f"lag-1 ACF of C_0 significant in {hits}/20 seeds (need 20)", t0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ive
 
-from beamwander import arma, channel, stats
+from beamwander import arma, channel, cli, stats
 from beamwander.channel import (crosstalk_trace, estimate_gamma,
                                 fading_trace, memoryless_sample, oam_spectrum)
 
@@ -216,9 +217,11 @@ class TestIveKernel:
 
     @pytest.mark.parametrize("l_max", [0, 1, 5, 20, 79])
     def test_rows_sum_to_at_most_one(self, l_max):
+        # the full spectrum C_-l_max..C_l_max of a row, C_-l = C_l
         a = kernel_grid(l_max)
         _, weights = crosstalk_trace(np.sqrt(a), np.zeros_like(a), 1.0, l_max)
-        assert np.all(weights.sum(axis=1) <= 1.0 + 1e-12)
+        assert weights.shape == (a.size, l_max + 1)
+        assert np.all(weights[:, 0] + 2.0 * weights[:, 1:].sum(axis=1) <= 1.0 + 1e-12)
 
 
 class TestOamSpectrum:
@@ -259,10 +262,10 @@ class TestOamSpectrum:
 class TestCrosstalkTrace:
     def test_zero_offsets(self):
         r_norm, weights = crosstalk_trace(np.zeros(5), np.zeros(5), 1.0, 3)
-        assert weights.shape == (5, 7)
+        assert weights.shape == (5, 4)
         for row in weights:
-            assert row[3] == 1.0
-            assert np.all(row[:3] == 0) and np.all(row[4:] == 0)
+            assert row[0] == 1.0
+            assert np.all(row[1:] == 0)
         assert np.all(r_norm == 0.0)
 
     def test_c0_self_consistency(self):
@@ -270,16 +273,32 @@ class TestCrosstalkTrace:
         xs, ys = rng.normal(scale=0.5, size=(2, 50))
         w = 1.2
         _, weights = crosstalk_trace(xs, ys, w, 4)
+        assert weights.shape == (50, 5)
         for i, row in enumerate(weights):
             arg = (xs[i] ** 2 + ys[i] ** 2) / w**2
             direct = math.exp(-arg) * float(np.i0(arg))  # numpy's own I_0
-            assert row[4] == pytest.approx(direct, rel=1e-12)
+            assert row[0] == pytest.approx(direct, rel=1e-12)
 
     def test_temporal_memory(self):
         xs = arma.simulate(TABLE_MODEL, 3000, seed=30)
         ys = arma.simulate(TABLE_MODEL, 3000, seed=31)
         _, weights = crosstalk_trace(xs, ys, OMEGA_GAMMA07, 5)
-        assert stats.acf(weights[:, 5], 1)[1] > stats.significance_bound(3000)
+        assert weights.shape == (3000, 6)  # C_0..C_5
+        assert stats.acf(weights[:, 0], 1)[1] > stats.significance_bound(3000)
+
+    def test_peak_memory_is_the_weights_array(self):
+        # the (n, l_max + 1) result and a few n-vectors fit under the bound;
+        # any second copy of the weights (mirrored or a temporary) does not
+        n, l_max = 10**5, 20
+        xs = arma.simulate(TABLE_MODEL, n, seed=32)
+        ys = arma.simulate(TABLE_MODEL, n, seed=33)
+        tracemalloc.start()
+        try:
+            crosstalk_trace(xs, ys, OMEGA_GAMMA07, l_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (l_max + 1) * 8
 
     @settings(max_examples=200, deadline=None)
     @given(offsets=hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(1, 20)),
@@ -293,11 +312,17 @@ class TestCrosstalkTrace:
             with pytest.raises(ValueError, match="beam radii"):
                 crosstalk_trace(offsets[0], offsets[1], omega_st, l_max)
             return
-        _, w = crosstalk_trace(offsets[0], offsets[1], omega_st, l_max)
-        assert w.shape == (offsets.shape[1], 2 * l_max + 1)
+        r_norm, w = crosstalk_trace(offsets[0], offsets[1], omega_st, l_max)
+        assert w.shape == (offsets.shape[1], l_max + 1)
         assert np.all((w >= 0.0) & (w <= 1.0))
-        assert w.view(np.int64).tolist() == w[:, ::-1].view(np.int64).tolist()
-        assert np.all(w.sum(axis=1) <= 1.0 + 1e-12)
+        # crosstalk.csv's modes -l_max..l_max: C_-l is C_l's own column object
+        _, columns = cli._crosstalk_table(np.arange(w.shape[0]), r_norm, w)
+        for l in range(1, l_max + 1):
+            assert columns[2 + l_max - l] is columns[2 + l_max + l]
+        full = np.column_stack(columns[2:])
+        mirrored = np.concatenate((w[:, :0:-1], w), axis=1)
+        assert full.view(np.int64).tolist() == mirrored.view(np.int64).tolist()
+        assert np.all(full.sum(axis=1) <= 1.0 + 1e-12)
 
     def test_offset_beyond_kernel_range_named(self):
         with pytest.raises(ValueError, match="sample 1: offset of 40000 beam radii"):

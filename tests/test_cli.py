@@ -414,6 +414,25 @@ class TestAnalyze:
         assert summary["scintillation_index"] == 0.0
         assert summary["scintillation_index_sqrt"] == 0.0
 
+    @pytest.mark.parametrize("value", [0.3, 0.2770888466262316],
+                             ids=["index_rounds_to_zero", "index_rounds_above_zero"])
+    def test_constant_file_does_not_fade(self, tmp_path, capsys, value):
+        # np.mean of 50 x 0.3 rounds to 0.30000000000000004, above every
+        # sample, so the "mean" threshold is clipped back into the values.
+        # Intensities that do not fade give no gamma_hat, also where their
+        # scintillation index rounds to 2.2e-16 (the second value)
+        fading = tmp_path / "fading.csv"
+        fading.write_text("t_s,intensity\n" + "".join(
+            f"{i * 0.01},{value!r}\n" for i in range(50)))
+        code, out = run(tmp_path, "analyze", "--fading", str(fading))
+        assert code == 0 and capsys.readouterr().err == ""  # warnings are errors here
+        summary = strict_json(out / "summary.json")
+        assert summary["threshold"] == value
+        assert summary["max_run_length_above"] == 50
+        assert summary["max_run_length_below"] == 0
+        assert "gamma_hat" not in summary
+        assert read_lines(out / "rld.csv") == ["side,run_length,count", "above,50,1"]
+
     def test_gamma_hat_recovery(self, tmp_path, model_path):
         _, sim = run(tmp_path, "--seed", "11", "simulate", "--model", model_path,
                      "--n", "20000", "--omega-st", "105.21191045333147",
@@ -465,11 +484,14 @@ class TestCrosstalk:
     def test_table_passes_one_object_per_mode_pair(self):
         r_norm, weights = channel.crosstalk_trace([0.3, 1.0, 2.5], [0.1, -0.4, 0.0],
                                                   1.0, 3)
+        assert weights.shape == (3, 4)  # C_0..C_3
         header, columns = cli._crosstalk_table(np.arange(3.0), r_norm, weights)
+        assert header[2:] == [f"C_{l}" for l in range(-3, 4)]
         by_name = dict(zip(header, columns))
         for l in range(1, 4):
             assert by_name[f"C_{-l}"] is by_name[f"C_{l}"]
-        assert np.array_equal(np.column_stack(columns[2:]), weights)
+        assert np.array_equal(np.column_stack(columns[2:]),
+                              np.concatenate((weights[:, :0:-1], weights), axis=1))
 
 
     def test_overflowing_trace_fails_cleanly(self, tmp_path):
