@@ -15,12 +15,13 @@ One rule decides stability: the Schur-Cohn step-down of
 region. `root_moduli` (np.roots) only reports the roots, for error
 messages and tests; it decides nothing.
 
-Two filters serve it. Simulation runs the forward recursion
-theta(B)/phi(B) once per series in `_recurse`, with numpy alone. The fit
-inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution and
-one LAPACK banded triangular solve (`_inverse_filter`). Its first solve
-loads LAPACK dtbtrs from scipy's compiled `_flapack` extension alone
-(`_dtbtrs`), without the scipy.linalg package.
+Two filters serve it, both compiled scipy routines loaded from their
+extension files alone (`_load_extension`), so that no scipy package is
+imported. Simulation runs the forward recursion theta(B)/phi(B) once per
+series through the routine that scipy.signal.lfilter calls (`_lfilter`).
+The fit inverts it thousands of times, theta(B)^-1 phi(B) x, as a
+convolution and one LAPACK dtbtrs banded triangular solve
+(`_inverse_filter`).
 """
 
 from __future__ import annotations
@@ -42,11 +43,34 @@ GENERATOR_NAME = "numpy.random.PCG64"
 
 # Innovations for simulate() are drawn as
 #   np.random.default_rng(seed).normal(0, sqrt(sigma2), n + burn_in)
-# and filtered by _recurse, which equals scipy.signal.lfilter(theta, phi, .)
-# bit for bit, so the series is reproducible outside this module.
+# and filtered by _lfilter, which is scipy.signal.lfilter(theta, phi, .)'s
+# own arithmetic, so the series is reproducible outside this module.
 
 
-_FLAPACK = "scipy.linalg._flapack"
+def _load_extension(name):
+    """The compiled scipy extension `name` (dotted, as "scipy.linalg._flapack")
+    without the package init of its scipy subpackage.
+
+    A module already imported is reused. Otherwise the extension is loaded
+    from its file, which find_spec("scipy") locates without importing scipy,
+    and is left out of sys.modules, where a single-phase extension enters
+    itself.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    *package, stem = name.split(".")[1:]
+    directory = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                             *package)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, stem + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            return module
+    raise ImportError(f"no {stem} extension in {directory}")
 
 
 @functools.cache
@@ -54,36 +78,28 @@ def _dtbtrs():
     """LAPACK dtbtrs, loaded once: the f2py routine that
     scipy.linalg.lapack.dtbtrs exports, so every result is the same bit for
     bit, without the scipy.linalg package init, which costs about 0.2 s.
-
-    A `_flapack` module already imported (scipy.signal loads scipy.linalg)
-    is reused. Otherwise the extension is loaded from scipy's linalg
-    directory, which find_spec locates without importing scipy, and is left
-    out of sys.modules, where a single-phase extension enters itself. If
-    scipy's layout has moved, the routine comes from scipy.linalg.lapack.
+    If scipy's layout has moved, the routine comes from scipy.linalg.lapack.
     """
     try:
-        flapack = sys.modules.get(_FLAPACK) or _load_flapack()
-        return flapack.dtbtrs
+        return _load_extension("scipy.linalg._flapack").dtbtrs
     except (ImportError, OSError, AttributeError):
         from scipy.linalg.lapack import dtbtrs
         return dtbtrs
 
 
-def _load_flapack():
-    """scipy's `_flapack` extension, loaded from its file and not
-    registered in sys.modules."""
-    linalg = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
-                          "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "_flapack" + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            if sys.modules.get(_FLAPACK) is module:
-                del sys.modules[_FLAPACK]
-            return module
-    raise ImportError(f"no _flapack extension in {linalg}")
+@functools.cache
+def _linear_filter():
+    """The compiled direct form II transposed filter that
+    scipy.signal.lfilter calls for a denominator of more than one term,
+    loaded once without the scipy.signal package, which costs 0.5-1 s to
+    import. If scipy's layout has moved, lfilter itself serves, which takes
+    the same arguments and calls the same routine.
+    """
+    try:
+        return _load_extension("scipy.signal._sigtools")._linear_filter
+    except (ImportError, OSError, AttributeError):
+        from scipy.signal import lfilter
+        return lfilter
 
 
 def _inverse_filter(theta, v) -> np.ndarray:
@@ -101,35 +117,17 @@ def _inverse_filter(theta, v) -> np.ndarray:
     return _dtbtrs()(ab, v, uplo="L", diag="U")[0]
 
 
-def _recurse(b, a, x) -> np.ndarray:
-    """scipy.signal.lfilter(b, a, x) without scipy, equal to it bit for bit:
-    the same arithmetic in the same order. One pass per series (simulate,
-    stationary_variance) does not need the compiled loop or its import.
-
-    With a single denominator term scipy convolves (its FIR path), which a
-    recursion would miss in the last bit for some models. Otherwise this is
-    scipy's direct form II transposed over Python floats (no fused
-    multiply-add); the last delay has no `+ 0.0`, so signed zeros match.
+def _lfilter(b, a, x) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x), bit for bit, as lfilter computes it:
+    a convolution for a single denominator term (its FIR path), else its
+    compiled filter (`_linear_filter`). One pass per series (simulate,
+    stationary_variance).
     """
+    b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float) / a[0]
-    a = a / a[0]
     if a.size == 1:
-        return np.convolve(b, x)[:len(x)]
-    k = max(a.size, b.size)
-    b = np.pad(b, (0, k - b.size)).tolist()
-    a = np.pad(a, (0, k - a.size)).tolist()
-    b0, b_last, a_last = b[0], b[-1], a[-1]
-    middle = range(1, k - 1)
-    z = [0.0] * (k - 1)
-    out = []
-    for xn in np.asarray(x, dtype=float).tolist():
-        y = z[0] + b0 * xn
-        for i in middle:
-            z[i - 1] = z[i] + xn * b[i] - y * a[i]
-        z[-1] = xn * b_last - y * a_last
-        out.append(y)
-    return np.array(out)
+        return np.convolve(b / a[0], x)[:len(x)]
+    return _linear_filter()(b, a, x, -1)
 
 
 class FitConvergenceError(RuntimeError):
@@ -291,9 +289,9 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
     eps = rng.normal(0.0, math.sqrt(model.sigma2), n + burn_in)
     phi = model.ar_poly()
     theta = model.ma_poly()
-    x = _recurse(theta, phi, eps)
+    x = _lfilter(theta, phi, eps)
     if model.c != 0.0:
-        x = x + _recurse([1.0], phi, np.full(n + burn_in, model.c))
+        x = x + _lfilter([1.0], phi, np.full(n + burn_in, model.c))
     return x[burn_in:]
 
 
@@ -757,5 +755,5 @@ def stationary_variance(model: ArmaModel) -> float:
         raise ValueError("model is not stationary")
     impulse = np.zeros(20_000)
     impulse[0] = 1.0
-    psi = _recurse(model.ma_poly(), model.ar_poly(), impulse)
+    psi = _lfilter(model.ma_poly(), model.ar_poly(), impulse)
     return float(model.sigma2 * np.dot(psi, psi))

@@ -172,7 +172,8 @@ def cmd_analyze(args) -> dict:
         "max_run_length_below": int(below.max(initial=0)),
     }
     positive = intens[(intens > 0) & (intens <= 1)]
-    # unequal values, as the index of equal ones can round above 0
+    # a constant file's index is exactly 0, but the values in (0, 1] that
+    # gamma is fitted to can still be equal where others vary
     if si > 0 and positive.size >= 10 and np.ptp(positive) > 0:
         summary["gamma_hat"] = channel.estimate_gamma(positive)
     if tr is not None:

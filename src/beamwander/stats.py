@@ -110,8 +110,10 @@ def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.nd
 
 def scintillation_index(intensities) -> float:
     """Normalized intensity variance <I^2>/<I>^2 - 1. Since <I^2> >= <I>^2,
-    a negative value can only be rounding (constant intensities give
-    -4.4e-16), and is returned as 0."""
+    a negative value can only be rounding, and is returned as 0. Constant
+    intensities, whose index rounds to either side of 0 (-4.4e-16 for 0.3,
+    2.2e-16 for others), give exactly 0, their constancy read from the
+    values as `acf` reads it."""
     x = np.asarray(intensities, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m = x.mean()
@@ -123,7 +125,7 @@ def scintillation_index(intensities) -> float:
     if not math.isfinite(si):
         raise ValueError("intensities out of range: their scintillation index "
                          "is not finite")
-    return max(si, 0.0)
+    return 0.0 if x.min() == x.max() else max(si, 0.0)
 
 
 def empirical_pdf(series, bin_count: int):

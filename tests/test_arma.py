@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -172,8 +173,9 @@ ORDERS = [(p, q) for p in range(6) for q in range(6)]
 
 
 class TestSimulateExact:
-    """simulate filters without scipy, yet equals scipy.signal.lfilter bit
-    for bit: the series is reproducible from the documented contract."""
+    """simulate filters without the scipy.signal package, yet equals
+    scipy.signal.lfilter bit for bit: the series is reproducible from the
+    documented contract."""
 
     @pytest.mark.parametrize("c", [0.0, -2.5])
     @pytest.mark.parametrize("p,q", ORDERS)
@@ -232,64 +234,104 @@ class TestInverseFilter:
                         assert err <= 1e-12 * np.max(np.abs(expect))
 
 
-# Runs in a fresh interpreter, where no scipy module is loaded yet: dtbtrs
-# through arma's direct load of _flapack, then through scipy.linalg.lapack.
-DTBTRS_SCRIPT = r"""
-import json, sys
+# Runs in a fresh interpreter, where no scipy module is loaded yet: each
+# routine through arma's direct load of its extension file, then through
+# scipy's public function. argv[1] is the routine's accessor, argv[2] the
+# JSON list of [ar, ma, sigma2, c] models that simulate.
+LOAD_SCRIPT = r"""
+import json, math, sys
 import numpy as np
 from beamwander import arma
-direct = arma._dtbtrs()
+direct = getattr(arma, sys.argv[1])()
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-from scipy.linalg.lapack import dtbtrs
 same = []
-for q in range(1, 6):
-    for n in (3000, 100_000):
-        rng = np.random.default_rng([q, n])
-        theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))[::-1]  # roots outside
-        ab = np.tile(theta, (n, 1)).T
-        v = rng.normal(3.0, 10.0, n)
-        got, expect = (f(ab, v, uplo="L", diag="U") for f in (direct, dtbtrs))
-        same.append([got[0].tobytes() == expect[0].tobytes(), got[1] == expect[1]])
+if sys.argv[1] == "_dtbtrs":
+    from scipy.linalg.lapack import dtbtrs
+    for q in range(1, 6):
+        for n in (3000, 100_000):
+            rng = np.random.default_rng([q, n])
+            theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))[::-1]  # roots outside
+            ab = np.tile(theta, (n, 1)).T
+            v = rng.normal(3.0, 10.0, n)
+            got, expect = (f(ab, v, uplo="L", diag="U") for f in (direct, dtbtrs))
+            same.append(got[0].tobytes() == expect[0].tobytes() and got[1] == expect[1])
+else:
+    from scipy.signal import lfilter
+    for seed, (ar, ma, sigma2, c) in enumerate(json.loads(sys.argv[2])):
+        model = arma.ArmaModel(c=c, ar=ar, ma=ma, sigma2=sigma2)
+        phi, theta = model.ar_poly(), model.ma_poly()
+        burn_in = arma.default_burn_in(model.p, model.q)
+        eps = np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), 3000 + burn_in)
+        expect = lfilter(theta, phi, eps)
+        if c != 0.0:
+            expect = expect + lfilter([1.0], phi, np.full(3000 + burn_in, c))
+        got = arma.simulate(model, 3000, seed)
+        same.append(got.tobytes() == expect[burn_in:].tobytes())
 print(json.dumps({"loaded": loaded, "same": same}))
 """
 
 
-class TestDtbtrs:
-    """arma loads LAPACK dtbtrs from scipy's _flapack extension without the
-    scipy.linalg package, and falls back to scipy.linalg.lapack when that
-    load fails; both routes give the same bits."""
+class TestLoadExtension:
+    """arma loads LAPACK dtbtrs from scipy's _flapack extension and lfilter's
+    compiled filter from its _sigtools extension, without the scipy.linalg or
+    scipy.signal package, and falls back to scipy.linalg.lapack or
+    scipy.signal.lfilter when that load fails; both routes give the same
+    bits."""
 
-    def test_direct_load_equals_scipy_linalg(self):
+    @pytest.mark.parametrize("routine", ["_dtbtrs", "_linear_filter"],
+                             ids=["dtbtrs", "linear_filter"])
+    def test_direct_load_equals_scipy(self, routine):
+        models = [[m.ar, m.ma, m.sigma2, m.c] for c in (0.0, -2.5)
+                  for m in (random_model(p, q, c) for p, q in ORDERS)]
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(arma.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", DTBTRS_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, routine,
+                               json.dumps(models)], env=env,
                               capture_output=True, text=True, check=True, timeout=120)
         result = json.loads(proc.stdout)
         assert result["loaded"] == []  # the direct route, leaving nothing registered
-        assert result["same"] == [[True, True]] * 10
+        assert result["same"] == [True] * (10 if routine == "_dtbtrs" else len(models))
 
-    def test_fallback_fits_alike(self, monkeypatch):
+    def test_fallback_fits_alike(self):
         x = simulate(TABLE_MODEL, 3000, seed=19)
         direct = fit_css(x, 2, 2)
-        calls = []
-
-        def fail():
-            calls.append(1)
-            raise ImportError("no _flapack")
-
-        # scipy.signal, imported above, has loaded _flapack through scipy.linalg
-        monkeypatch.delitem(sys.modules, arma._FLAPACK)
-        monkeypatch.setattr(arma, "_load_flapack", fail)
-        arma._dtbtrs.cache_clear()
-        try:
+        with failing_load(arma._dtbtrs) as calls:
             fallback = fit_css(x, 2, 2)
-        finally:
-            arma._dtbtrs.cache_clear()
-        assert calls == [1]  # tried once, then cached
+        assert calls == ["scipy.linalg._flapack"]  # tried once, then cached
         assert fallback.model == direct.model
         assert fallback.css == direct.css
         assert fallback.residuals.tobytes() == direct.residuals.tobytes()
+
+    def test_fallback_simulates_alike(self):
+        model = ArmaModel(c=-2.5, ar=TABLE_MODEL.ar, ma=TABLE_MODEL.ma,
+                          sigma2=TABLE_MODEL.sigma2)
+        direct = simulate(model, 3000, seed=19)
+        with failing_load(arma._linear_filter) as calls:
+            fallback = simulate(model, 3000, seed=19)
+        assert calls == ["scipy.signal._sigtools"]  # tried once, then cached
+        assert fallback.tobytes() == direct.tobytes()
+
+
+@contextlib.contextmanager
+def failing_load(routine):
+    """Within the block every extension file load fails and the cached
+    routine is looked up afresh; yields the names the loader was asked for.
+    (scipy.signal, imported above, has loaded both extensions, which the
+    loader would otherwise reuse.)"""
+    calls = []
+
+    def fail(name):
+        calls.append(name)
+        raise ImportError(f"no {name}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arma, "_load_extension", fail)
+        routine.cache_clear()
+        try:
+            yield calls
+        finally:
+            routine.cache_clear()
 
 
 @st.composite

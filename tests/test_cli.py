@@ -419,8 +419,8 @@ class TestAnalyze:
     def test_constant_file_does_not_fade(self, tmp_path, capsys, value):
         # np.mean of 50 x 0.3 rounds to 0.30000000000000004, above every
         # sample, so the "mean" threshold is clipped back into the values.
-        # Intensities that do not fade give no gamma_hat, also where their
-        # scintillation index rounds to 2.2e-16 (the second value)
+        # Intensities that do not fade give index 0 and no gamma_hat, also
+        # where <I^2>/<I>^2 - 1 rounds to 2.2e-16 (the second value)
         fading = tmp_path / "fading.csv"
         fading.write_text("t_s,intensity\n" + "".join(
             f"{i * 0.01},{value!r}\n" for i in range(50)))
@@ -428,6 +428,7 @@ class TestAnalyze:
         assert code == 0 and capsys.readouterr().err == ""  # warnings are errors here
         summary = strict_json(out / "summary.json")
         assert summary["threshold"] == value
+        assert summary["scintillation_index"] == 0.0
         assert summary["max_run_length_above"] == 50
         assert summary["max_run_length_below"] == 0
         assert "gamma_hat" not in summary

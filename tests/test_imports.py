@@ -1,18 +1,19 @@
 """Start-up cost: no command leaves a scipy module loaded. Every name a
 package module imports is used, and so is every private name it defines;
-one function alone calls np.roots, and the package defines only the
-classes listed in CLASSES.
+one function alone calls np.roots, one alone loads an extension file, and
+the package defines only the classes listed in CLASSES.
 
 Importing scipy.signal takes longer than most commands' own work,
 scipy.special alone costs about as much as a short command, and the
 scipy.linalg package init costs about 0.2 s. So `import beamwander.cli`
-loads no scipy module, and theory, analyze, ingest, simulate (with or
-without --l-max), compare and crosstalk run on numpy alone: the crosstalk
-weights come from the package's own Bessel kernel. fit runs its banded
-LAPACK solve from scipy's compiled _flapack extension, loaded from its
-file and left out of sys.modules, so it too leaves no scipy module
-loaded; were the direct load to fail, fit would import scipy.linalg and
-test_fit_loads_no_linalg_module would fail.
+loads no scipy module, and theory, analyze, ingest and crosstalk run on
+numpy alone: the crosstalk weights come from the package's own Bessel
+kernel. simulate (with or without --l-max) and compare filter through
+lfilter's compiled routine from scipy's _sigtools extension, and fit runs
+its banded LAPACK solve from scipy's compiled _flapack extension; each is
+loaded from its file and left out of sys.modules, so no command leaves a
+scipy module loaded. Were the direct load to fail, simulate would import
+scipy.signal and fit scipy.linalg, and these tests would fail.
 """
 
 import ast
@@ -145,28 +146,38 @@ def test_every_private_name_is_used(path):
     assert unused == []
 
 
-def _roots_callers(node, where):
-    """The dotted names of the functions under node that call roots()."""
+def _callers(node, name, where):
+    """The dotted names of the functions under node that call name()."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         where = f"{where}.{node.name}"
     found = []
-    if isinstance(node, ast.Call) and "roots" in (getattr(node.func, "attr", None),
-                                                  getattr(node.func, "id", None)):
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                               getattr(node.func, "id", None)):
         found.append(where)
     for child in ast.iter_child_nodes(node):
-        found += _roots_callers(child, where)
+        found += _callers(child, name, where)
     return found
+
+
+def _src_callers(name):
+    callers = []
+    for path in sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        callers += _callers(tree, name, os.path.basename(path)[:-3])
+    return callers
 
 
 def test_roots_called_only_in_root_moduli():
     # the step-down alone decides stability; np.roots only reports, so a
     # second call site would be a second stability rule
-    callers = []
-    for path in sorted(glob.glob(os.path.join(SRC, "beamwander", "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        callers += _roots_callers(tree, os.path.basename(path)[:-3])
-    assert callers == ["arma.root_moduli"]
+    assert _src_callers("roots") == ["arma.root_moduli"]
+
+
+def test_one_extension_loader():
+    # every compiled scipy routine is loaded from its file by one function,
+    # so a second hand-written loader fails here
+    assert _src_callers("spec_from_file_location") == ["arma._load_extension"]
 
 
 # Every other result is a plain value (array, tuple or dict); each class

@@ -187,6 +187,8 @@ class TestRunLengthDistribution:
 class TestScintillationIndex:
     def test_constant(self):
         assert stats.scintillation_index(np.full(10, 3.3)) == pytest.approx(0.0, abs=1e-15)
+        # <I^2>/<I>^2 - 1 of 50 x this value rounds to 2.2e-16
+        assert stats.scintillation_index(np.full(50, 0.2770888466262316)) == 0.0
 
     def test_two_point(self):
         assert stats.scintillation_index([0.0, 2.0]) == pytest.approx(1.0, rel=1e-12)
