@@ -15,13 +15,12 @@ One rule decides stability: the Schur-Cohn step-down of
 region. `root_moduli` (np.roots) only reports the roots, for error
 messages and tests; it decides nothing.
 
-Two filters serve it, both compiled scipy routines loaded from their
-extension files alone (`_load_extension`), so that no scipy package is
-imported. Simulation runs the forward recursion theta(B)/phi(B) once per
-series through the routine that scipy.signal.lfilter calls (`_lfilter`).
-The fit inverts it thousands of times, theta(B)^-1 phi(B) x, as a
-convolution and one LAPACK dtbtrs banded triangular solve
-(`_inverse_filter`).
+One filter serves both directions: the compiled routine that
+scipy.signal.lfilter calls, loaded from its extension file alone
+(`_load_extension`), so that no scipy package is imported. Simulation runs
+the forward recursion theta(B)/phi(B) once per series (`_lfilter`). The
+fit inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution
+and one pass of the same routine (`_inverse_filter`).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ GENERATOR_NAME = "numpy.random.PCG64"
 
 
 def _load_extension(name):
-    """The compiled scipy extension `name` (dotted, as "scipy.linalg._flapack")
+    """The compiled scipy extension `name` (dotted, as "scipy.signal._sigtools")
     without the package init of its scipy subpackage.
 
     A module already imported is reused. Otherwise the extension is loaded
@@ -74,20 +73,6 @@ def _load_extension(name):
 
 
 @functools.cache
-def _dtbtrs():
-    """LAPACK dtbtrs, loaded once: the f2py routine that
-    scipy.linalg.lapack.dtbtrs exports, so every result is the same bit for
-    bit, without the scipy.linalg package init, which costs about 0.2 s.
-    If scipy's layout has moved, the routine comes from scipy.linalg.lapack.
-    """
-    try:
-        return _load_extension("scipy.linalg._flapack").dtbtrs
-    except (ImportError, OSError, AttributeError):
-        from scipy.linalg.lapack import dtbtrs
-        return dtbtrs
-
-
-@functools.cache
 def _linear_filter():
     """The compiled direct form II transposed filter that
     scipy.signal.lfilter calls for a denominator of more than one term,
@@ -104,24 +89,19 @@ def _linear_filter():
 
 def _inverse_filter(theta, v) -> np.ndarray:
     """theta(B)^-1 v with zero pre-sample terms, for a monic theta: the fit's
-    filter, equal to scipy.signal.lfilter([1], theta, v) up to rounding.
-
-    theta(B) is then a unit lower-triangular banded Toeplitz matrix, so the
-    filter is one LAPACK dtbtrs solve on its (q + 1, n) band. The routine
-    is loaded on the first solve (`_dtbtrs`), so that commands that never
-    fit load nothing of scipy. With q = 0, v is returned as is.
+    filter, scipy.signal.lfilter([1], theta, v) bit for bit. With q = 0, v
+    is returned as is.
     """
     if len(theta) == 1:
         return v
-    ab = np.tile(theta, (len(v), 1)).T  # row k holds theta_k: LAPACK band storage
-    return _dtbtrs()(ab, v, uplo="L", diag="U")[0]
+    return _lfilter([1.0], theta, v)
 
 
 def _lfilter(b, a, x) -> np.ndarray:
     """scipy.signal.lfilter(b, a, x), bit for bit, as lfilter computes it:
     a convolution for a single denominator term (its FIR path), else its
-    compiled filter (`_linear_filter`). One pass per series (simulate,
-    stationary_variance).
+    compiled filter (`_linear_filter`). It serves simulate and
+    stationary_variance, and the fit through `_inverse_filter`.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -299,7 +279,7 @@ def residuals(model: ArmaModel, series) -> np.ndarray:
     """Invert the recursion: e_t = x_t - c - sum M_i x_{t-i} - sum N_j e_{t-j},
     with zero pre-sample terms. Output length equals input length. That is
     theta(B)^-1 (phi(B) x - c): phi(B) x is a convolution, and one
-    `_inverse_filter` solve inverts theta(B)."""
+    `_inverse_filter` pass inverts theta(B)."""
     x = np.asarray(series, dtype=float)
     v = np.convolve(model.ar_poly(), x)[:x.size]
     if model.c != 0.0:

@@ -48,7 +48,7 @@ def estimate_gamma(intensities) -> float:
     x = np.asarray(intensities, dtype=float)
     if x.size < 10:
         raise ValueError("need at least 10 samples")
-    if np.any(x <= 0) or np.any(x > 1):
+    if not np.all((x > 0) & (x <= 1)):  # NaN fails both comparisons
         raise ValueError("all intensities must lie in (0, 1]")
     s = float(np.sum(np.log(x)))
     if s == 0.0:

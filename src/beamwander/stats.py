@@ -115,6 +115,8 @@ def scintillation_index(intensities) -> float:
     2.2e-16 for others), give exactly 0, their constancy read from the
     values as `acf` reads it."""
     x = np.asarray(intensities, dtype=float)
+    if x.size == 0 or not np.all(np.isfinite(x)):
+        raise ValueError("intensities must be non-empty and finite")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m = x.mean()
         si = float(np.mean(x**2) / m**2 - 1.0)

@@ -204,8 +204,9 @@ class TestSimulateExact:
 
 
 class TestInverseFilter:
-    """The fit's banded-solve filter against scipy.signal.lfilter, the
-    filter it replaced: equal to rounding, and exactly equal for q = 0."""
+    """The fit's filter is scipy.signal.lfilter([1], theta, .) bit for bit,
+    and the residuals built on it match lfilter to rounding (exactly for
+    q = 0)."""
 
     @pytest.mark.parametrize("p,q", ORDERS)
     def test_equals_lfilter(self, p, q):
@@ -219,44 +220,45 @@ class TestInverseFilter:
         for n in (3000, 100_000):
             x = rng.normal(3.0, 10.0, n)
             for theta in thetas:
+                assert (arma._inverse_filter(theta, x).tobytes()
+                        == lfilter([1.0], theta, x).tobytes())
                 m = ArmaModel(c=model.c, ar=model.ar, ma=list(theta[1:]),
                               sigma2=1.0)
-                pairs = [
-                    (residuals(m, x), lfilter(phi, theta, x)
-                     - m.c * lfilter([1.0], theta, np.ones(n))),
-                    (arma._inverse_filter(theta, x), lfilter([1.0], theta, x)),
-                ]
-                for got, expect in pairs:
-                    if q == 0:
-                        assert np.array_equal(got, expect)
-                    else:
-                        err = np.max(np.abs(got - expect))
-                        assert err <= 1e-12 * np.max(np.abs(expect))
+                got = residuals(m, x)
+                expect = lfilter(phi, theta, x) - m.c * lfilter([1.0], theta, np.ones(n))
+                if q == 0:
+                    assert np.array_equal(got, expect)
+                else:
+                    err = np.max(np.abs(got - expect))
+                    assert err <= 1e-12 * np.max(np.abs(expect))
 
 
-# Runs in a fresh interpreter, where no scipy module is loaded yet: each
-# routine through arma's direct load of its extension file, then through
-# scipy's public function. argv[1] is the routine's accessor, argv[2] the
+# Runs in a fresh interpreter, where no scipy module is loaded yet: argv[1]
+# names the direct route, the fit's inverse filter (run on its cases) or
+# simulate's filter (loaded), before the scipy modules loaded so far are
+# recorded; each is then compared with scipy.signal.lfilter. argv[2] is the
 # JSON list of [ar, ma, sigma2, c] models that simulate.
 LOAD_SCRIPT = r"""
 import json, math, sys
 import numpy as np
 from beamwander import arma
-direct = getattr(arma, sys.argv[1])()
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-same = []
-if sys.argv[1] == "_dtbtrs":
-    from scipy.linalg.lapack import dtbtrs
+if sys.argv[1] == "inverse_filter":
+    cases = []
     for q in range(1, 6):
         for n in (3000, 100_000):
             rng = np.random.default_rng([q, n])
-            theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))[::-1]  # roots outside
-            ab = np.tile(theta, (n, 1)).T
+            theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))  # monic, roots outside
             v = rng.normal(3.0, 10.0, n)
-            got, expect = (f(ab, v, uplo="L", diag="U") for f in (direct, dtbtrs))
-            same.append(got[0].tobytes() == expect[0].tobytes() and got[1] == expect[1])
+            cases.append((theta, v, arma._inverse_filter(theta, v)))
 else:
-    from scipy.signal import lfilter
+    arma._linear_filter()
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+from scipy.signal import lfilter
+same = []
+if sys.argv[1] == "inverse_filter":
+    for theta, v, got in cases:
+        same.append(got.tobytes() == lfilter([1.0], theta, v).tobytes())
+else:
     for seed, (ar, ma, sigma2, c) in enumerate(json.loads(sys.argv[2])):
         model = arma.ArmaModel(c=c, ar=ar, ma=ma, sigma2=sigma2)
         phi, theta = model.ar_poly(), model.ma_poly()
@@ -272,33 +274,31 @@ print(json.dumps({"loaded": loaded, "same": same}))
 
 
 class TestLoadExtension:
-    """arma loads LAPACK dtbtrs from scipy's _flapack extension and lfilter's
-    compiled filter from its _sigtools extension, without the scipy.linalg or
-    scipy.signal package, and falls back to scipy.linalg.lapack or
-    scipy.signal.lfilter when that load fails; both routes give the same
-    bits."""
+    """arma loads lfilter's compiled filter from scipy's _sigtools extension,
+    without the scipy.signal package, for the fit's inverse filter and for
+    simulate alike, and falls back to scipy.signal.lfilter when that load
+    fails; both routes give the same bits."""
 
-    @pytest.mark.parametrize("routine", ["_dtbtrs", "_linear_filter"],
-                             ids=["dtbtrs", "linear_filter"])
-    def test_direct_load_equals_scipy(self, routine):
+    @pytest.mark.parametrize("route", ["inverse_filter", "linear_filter"])
+    def test_direct_load_equals_scipy(self, route):
         models = [[m.ar, m.ma, m.sigma2, m.c] for c in (0.0, -2.5)
                   for m in (random_model(p, q, c) for p, q in ORDERS)]
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(arma.__file__)))
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, routine,
+        proc = subprocess.run([sys.executable, "-c", LOAD_SCRIPT, route,
                                json.dumps(models)], env=env,
                               capture_output=True, text=True, check=True, timeout=120)
         result = json.loads(proc.stdout)
         assert result["loaded"] == []  # the direct route, leaving nothing registered
-        assert result["same"] == [True] * (10 if routine == "_dtbtrs" else len(models))
+        assert result["same"] == [True] * (10 if route == "inverse_filter" else len(models))
 
     def test_fallback_fits_alike(self):
         x = simulate(TABLE_MODEL, 3000, seed=19)
         direct = fit_css(x, 2, 2)
-        with failing_load(arma._dtbtrs) as calls:
+        with failing_load() as calls:
             fallback = fit_css(x, 2, 2)
-        assert calls == ["scipy.linalg._flapack"]  # tried once, then cached
+        assert calls == ["scipy.signal._sigtools"]  # tried once, then cached
         assert fallback.model == direct.model
         assert fallback.css == direct.css
         assert fallback.residuals.tobytes() == direct.residuals.tobytes()
@@ -307,18 +307,18 @@ class TestLoadExtension:
         model = ArmaModel(c=-2.5, ar=TABLE_MODEL.ar, ma=TABLE_MODEL.ma,
                           sigma2=TABLE_MODEL.sigma2)
         direct = simulate(model, 3000, seed=19)
-        with failing_load(arma._linear_filter) as calls:
+        with failing_load() as calls:
             fallback = simulate(model, 3000, seed=19)
         assert calls == ["scipy.signal._sigtools"]  # tried once, then cached
         assert fallback.tobytes() == direct.tobytes()
 
 
 @contextlib.contextmanager
-def failing_load(routine):
+def failing_load():
     """Within the block every extension file load fails and the cached
-    routine is looked up afresh; yields the names the loader was asked for.
-    (scipy.signal, imported above, has loaded both extensions, which the
-    loader would otherwise reuse.)"""
+    filter routine is looked up afresh; yields the names the loader was
+    asked for. (scipy.signal, imported above, has loaded the extension,
+    which the loader would otherwise reuse.)"""
     calls = []
 
     def fail(name):
@@ -327,11 +327,11 @@ def failing_load(routine):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arma, "_load_extension", fail)
-        routine.cache_clear()
+        arma._linear_filter.cache_clear()
         try:
             yield calls
         finally:
-            routine.cache_clear()
+            arma._linear_filter.cache_clear()
 
 
 @st.composite

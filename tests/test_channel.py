@@ -161,6 +161,8 @@ class TestEstimateGamma:
             estimate_gamma(np.full(10, 1.0))
         with pytest.raises(ValueError):
             estimate_gamma([0.5] * 5)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            estimate_gamma([0.5] * 9 + [math.nan])  # NaN fails every comparison
 
 
 class TestBesselI:

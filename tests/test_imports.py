@@ -8,12 +8,11 @@ scipy.special alone costs about as much as a short command, and the
 scipy.linalg package init costs about 0.2 s. So `import beamwander.cli`
 loads no scipy module, and theory, analyze, ingest and crosstalk run on
 numpy alone: the crosstalk weights come from the package's own Bessel
-kernel. simulate (with or without --l-max) and compare filter through
-lfilter's compiled routine from scipy's _sigtools extension, and fit runs
-its banded LAPACK solve from scipy's compiled _flapack extension; each is
-loaded from its file and left out of sys.modules, so no command leaves a
-scipy module loaded. Were the direct load to fail, simulate would import
-scipy.signal and fit scipy.linalg, and these tests would fail.
+kernel. simulate (with or without --l-max), compare and fit filter
+through lfilter's compiled routine from scipy's _sigtools extension, which
+is loaded from its file and left out of sys.modules, so no command leaves
+a scipy module loaded. Were the direct load to fail, these commands would
+import scipy.signal, and these tests would fail.
 """
 
 import ast

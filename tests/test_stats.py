@@ -204,6 +204,14 @@ class TestScintillationIndex:
         with pytest.raises(ValueError):
             stats.scintillation_index(np.zeros(5))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("intensities", [[], [0.5, math.nan], [0.5, math.inf],
+                                             [-math.inf, 0.5]],
+                             ids=["empty", "nan", "inf", "-inf"])
+    def test_empty_or_non_finite_named(self, intensities):
+        with pytest.raises(ValueError, match="must be non-empty and finite"):
+            stats.scintillation_index(intensities)
+
     @pytest.mark.parametrize("scale, named", [
         (1e200, "scintillation index is not finite"),
         (1.7e308, "their mean is not finite"),
