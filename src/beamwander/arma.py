@@ -729,11 +729,25 @@ def diagnose_residuals(res, max_lag: int = 20, n_model_params: int = 0) -> dict:
 
 
 def stationary_variance(model: ArmaModel) -> float:
-    """Stationary process variance sigma2 * sum psi_j^2 from the impulse
-    response of theta(B)/phi(B), truncated at 20 000 terms."""
+    """Stationary process variance gamma(0), from one linear system
+    (Brockwell & Davis, Time Series: Theory and Methods, §3.3, the second
+    method). With psi_0..psi_q the first weights of the impulse
+    response of theta(B)/phi(B), phi_0 = theta_0 = 1 and r = max(p, q),
+    the autocovariances gamma(0..r) solve the r + 1 equations
+
+        sum_i phi_i gamma(|k - i|) = sigma2 sum_{j=k..q} theta_j psi_{j-k},
+
+    k = 0..r, over phi(z) = 1 - M_1 z - ... (`ar_poly`), each right side
+    0 for k > q. No series is truncated, so an AR root near the unit
+    circle loses only the rounding of the coefficients."""
     if not model.stationary:
         raise ValueError("model is not stationary")
-    impulse = np.zeros(20_000)
-    impulse[0] = 1.0
-    psi = _lfilter(model.ma_poly(), model.ar_poly(), impulse)
-    return float(model.sigma2 * np.dot(psi, psi))
+    phi, theta = model.ar_poly(), model.ma_poly()
+    p, q = phi.size - 1, theta.size - 1
+    k = np.arange(max(p, q) + 1)[:, None]
+    lhs = np.zeros((k.size, k.size))
+    np.add.at(lhs, (k, np.abs(k - np.arange(p + 1))), phi)
+    psi = _lfilter(theta, phi, np.eye(1, q + 1)[0])
+    rhs = np.zeros(k.size)
+    rhs[:q + 1] = np.correlate(theta, psi, "full")[q:]
+    return float(model.sigma2 * np.linalg.solve(lhs, rhs)[0])

@@ -1,11 +1,13 @@
 """Raw observations to canonical wander traces.
 
 Weighted-centroid extraction from a stack of intensity frames (binary PGM
-files or a CSV-of-frames, read as one (N, rows, cols) array),
-mean-centering, lossless trace CSV I/O with a JSON sidecar for units and
-the sample period, and the one CSV writer and reader and the one JSON
-writer and reader that every file of the package goes through. Text is
-read as UTF-8, and every reader error names its file.
+files or a CSV-of-frames, read as one (N, rows, cols) array; integer
+counts from either source stay unsigned integers, at most 2 bytes a
+pixel, until centroid_trace sums them in float), mean-centering, lossless
+trace CSV I/O with a JSON sidecar for units and the sample period, and
+the one CSV writer and reader and the one JSON writer and reader that
+every file of the package goes through. Text is read as UTF-8, and every
+reader error names its file.
 
 Axis convention: x indexes columns, y indexes rows, origin at the center
 of pixel (0, 0).
@@ -389,9 +391,41 @@ def read_pgm(path: str) -> np.ndarray:
     return pixels.reshape(height, width).astype(dtype.newbyteorder("="))
 
 
+def _parse_counts(fh, ncols: int) -> np.ndarray | None:
+    """Parse the rest of fh as rows of ncols unsigned 16-bit integer counts,
+    empty lines skipped; None, with fh back where it was, when the first
+    non-empty line is not such a row or a later line fails the parse.
+
+    The uint16 parse accepts a strict subset of the text the float parse
+    accepts ("5", "+5", "05", " 5", up to 65535; not "-0", "5.0", "1e3",
+    "70000", "nan" or an empty field), with equal values. The first line
+    is tried alone because a failed parse of the whole body reads ahead
+    before it fails, and so would slow every float-valued file; a body
+    whose counts turn non-integer after that line is parsed twice.
+    """
+    counts = dict(dtype=np.uint16, delimiter=",", ndmin=2, comments=None)
+    start = fh.tell()
+    try:
+        line = next(filter(lambda s: s.strip("\r\n"), iter(fh.readline, "")), "")
+        if line and np.loadtxt([line], **counts).shape[1] == ncols:
+            fh.seek(start)
+            data = np.loadtxt(fh, **counts)
+            if data.shape[1] == ncols:
+                return data
+    except ValueError:  # also a byte that is not UTF-8: _parse_rows names it
+        pass
+    fh.seek(start)
+    return None
+
+
 def read_frames_csv(path: str) -> np.ndarray:
     """(N, rows, cols) frames of a CSV-of-frames: first line `rows,cols`,
-    then one flattened row-major frame of rows*cols values per line."""
+    then one flattened row-major frame of rows*cols values per line.
+
+    Integer counts in 0..65535, as a camera or a 16-bit PGM stores them,
+    come back as uint16 (see _parse_counts); any other finite values come
+    back as float64. Either way the values are those of the float parse,
+    and centroid_trace gives the same centroids from both."""
     with _open_text(path) as fh:
         first = fh.readline()  # outside the try: bad bytes are not a bad header
         try:
@@ -401,7 +435,9 @@ def read_frames_csv(path: str) -> np.ndarray:
         if min(rows, cols) < 1:
             raise ValueError(f"{path}: first line must be 'rows,cols', "
                              f"two positive integers")
-        data = _parse_rows(fh, path, rows * cols)
+        data = _parse_counts(fh, rows * cols)
+        if data is None:
+            data = _parse_rows(fh, path, rows * cols)
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no frames found")
     return data.reshape(-1, rows, cols)
@@ -409,7 +445,9 @@ def read_frames_csv(path: str) -> np.ndarray:
 
 def load_frames(path: str) -> np.ndarray:
     """(N, rows, cols) frames from a directory of equal-shape .pgm files
-    (sorted by name) or a single CSV-of-frames."""
+    (sorted by name), uint8 or uint16 as stored, or a single CSV-of-frames,
+    uint16 when its values are integer counts in 0..65535 and float64
+    otherwise (see read_frames_csv)."""
     if not os.path.isdir(path):
         return read_frames_csv(path)
     names = sorted(f for f in os.listdir(path) if f.lower().endswith(".pgm"))

@@ -24,6 +24,7 @@ def acf(series, max_lag: int) -> np.ndarray:
     normalization.
 
     rho_k = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2.
+    A NaN or infinite sample is refused before anything is summed.
     """
     x = np.asarray(series, dtype=float)
     n = x.size
@@ -31,6 +32,8 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise ValueError("max_lag must be >= 1")
     if n <= max_lag:
         raise ValueError(f"series length {n} must exceed max_lag {max_lag}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
     # constancy is read from the values: x - x.mean() can be off by a
     # rounding error and so not zero, and a sum of squares can underflow
     if x.min() == x.max():
@@ -98,10 +101,12 @@ def radial_variance(xs, ys) -> float:
 def run_length_distribution(series, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """The lengths of the maximal runs >= threshold (above) and
     < threshold (below), as two int arrays in time order. Together they
-    sum to the series length."""
+    sum to the series length. A NaN, which is neither, is refused."""
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         raise ValueError("series must be non-empty")
+    if math.isnan(threshold) or np.isnan(x).any():
+        raise ValueError("series and threshold must not be NaN")
     above = x >= threshold
     starts = np.concatenate(([0], np.flatnonzero(above[1:] != above[:-1]) + 1))
     lengths = np.diff(starts, append=x.size)

@@ -196,11 +196,15 @@ class TestSimulateExact:
 
     @pytest.mark.parametrize("p,q", ORDERS)
     def test_stationary_variance_equals_lfilter(self, p, q):
+        # sigma2 * sum psi_j^2 over lfilter's impulse response, whose tail
+        # is below rounding for these roots; the solve adds its terms in
+        # another order, so the two agree to rounding, not bit for bit
         model = random_model(p, q, 0.0)
         impulse = np.zeros(20000)
         impulse[0] = 1.0
         psi = lfilter(model.ma_poly(), model.ar_poly(), impulse)
-        assert stationary_variance(model) == float(model.sigma2 * np.dot(psi, psi))
+        assert stationary_variance(model) == pytest.approx(
+            float(model.sigma2 * np.dot(psi, psi)), rel=1e-12)
 
 
 class TestInverseFilter:
@@ -837,9 +841,38 @@ class TestDiagnostics:
 
 
 class TestStationaryVariance:
+    """Closed forms (Brockwell & Davis, §3.3): AR(1) sigma2 / (1 - phi^2),
+    with 1 - phi^2 taken as (1 - phi)(1 + phi), whose 1 - phi is exact for
+    phi in [0.5, 1), so the reference keeps its precision near 1; MA(q)
+    sigma2 * sum theta_j^2; ARMA(1,1) sigma2 (1 + 2 phi theta + theta^2)
+    / (1 - phi^2)."""
+
     def test_ar1_closed_form(self):
         model = ArmaModel(c=0.0, ar=[0.5], ma=[], sigma2=2.0)
-        assert stationary_variance(model) == pytest.approx(2.0 / 0.75, rel=1e-10)
+        assert stationary_variance(model) == pytest.approx(2.0 / 0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [-0.5, 0.9, 0.9999, 0.99999, -0.99999])
+    def test_ar1_near_unit_root(self, phi):
+        # 5 000.25 and 50 000.25 at 0.9999 and 0.99999 for sigma2 = 1
+        model = ArmaModel(c=0.0, ar=[phi], ma=[], sigma2=2.0)
+        expect = 2.0 / ((1 - abs(phi)) * (1 + abs(phi)))
+        assert stationary_variance(model) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("ma", [[0.4], [0.4, -0.3, 0.2], [1.5, 0.56], [0.9, 0.0, 0.0, -0.7]])
+    def test_ma_closed_form(self, ma):
+        model = ArmaModel(c=0.0, ar=[], ma=ma, sigma2=2.5)
+        expect = 2.5 * (1 + sum(v * v for v in ma))
+        assert stationary_variance(model) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("phi, theta", [(0.7, 0.4), (-0.6, 0.9), (0.95, -0.8), (0.999, 0.5)])
+    def test_arma11_closed_form(self, phi, theta):
+        model = ArmaModel(c=0.0, ar=[phi], ma=[theta], sigma2=3.0)
+        expect = 3.0 * (1 + 2 * phi * theta + theta**2) / ((1 - phi) * (1 + phi))
+        assert stationary_variance(model) == pytest.approx(expect, rel=1e-12)
+
+    def test_non_stationary_refused(self):
+        with pytest.raises(ValueError, match="not stationary"):
+            stationary_variance(ArmaModel(c=0.0, ar=[1.0], ma=[], sigma2=1.0))
 
     def test_table_model_matches_simulation(self):
         x = simulate(TABLE_MODEL, 2_000_000, seed=25)

@@ -589,6 +589,28 @@ class TestIngest:
         assert tr.sample_period == pytest.approx(1 / 300, rel=1e-9)
         assert tr.units == "pixels"
 
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_frames_csv_and_pgm_write_the_same_trace(self, tmp_path, depth):
+        # the CSV's integer counts read as uint16, the PGM files' as
+        # uint8 or uint16; both give the same bytes
+        rng = np.random.default_rng(depth)
+        counts = rng.integers(0, 2**depth, size=(30, 6, 9)).astype(f"u{depth // 8}")
+        with open(tmp_path / "frames.csv", "w") as fh:
+            fh.write("6,9\n")
+            for frame in counts.reshape(30, -1).tolist():
+                fh.write(",".join(map(str, frame)) + "\n")
+        (tmp_path / "pgm").mkdir()
+        for i, frame in enumerate(counts):
+            (tmp_path / "pgm" / f"f{i:02d}.pgm").write_bytes(
+                b"P5 9 6 %d\n" % (2**depth - 1) + frame.astype(">u%d" % (depth // 8)).tobytes())
+        for sub, frames in (("csv", "frames.csv"), ("pgm", "pgm")):
+            code, _ = run(tmp_path, "ingest", "--frames", str(tmp_path / frames),
+                          "--fps", "300", "--threshold-fraction", "0.2", sub=sub)
+            assert code == 0
+        for name in ("trace.csv", "trace.csv.json"):
+            assert (tmp_path / "csv" / name).read_bytes() == \
+                (tmp_path / "pgm" / name).read_bytes()
+
     def test_missing_rate_fails(self, tmp_path, capsys):
         frames = tmp_path / "frames.csv"
         frames.write_text("1,1\n1.0\n1.0\n")

@@ -25,6 +25,23 @@ def gaussian_frame(cx, cy, shape=(48, 48), sigma=3.0, amp=1000.0):
                         / (2 * sigma**2))
 
 
+def float_frames(path):
+    """The frames of a CSV-of-frames as the float parse reads them: its
+    body through np.loadtxt as float64."""
+    with open(path, encoding="utf-8") as fh:
+        rows, cols = map(int, fh.readline().split(","))
+        return np.loadtxt(fh, delimiter=",", ndmin=2,
+                          comments=None).reshape(-1, rows, cols)
+
+
+def write_frames_csv(path, frames, fmt=str):
+    """frames (N, rows, cols) as a CSV-of-frames, each value as fmt(v)."""
+    with open(path, "w") as fh:
+        fh.write("%d,%d\n" % frames.shape[1:])
+        for frame in frames.reshape(len(frames), -1).tolist():
+            fh.write(",".join(map(fmt, frame)) + "\n")
+
+
 class TestWeightedCentroid:
     def test_single_pixel(self):
         g = np.zeros((5, 7))
@@ -205,6 +222,51 @@ class TestFrameFiles:
         assert len(frames) == 2
         assert weighted_centroid(frames[0]) == (0.0, 0.0)
         assert weighted_centroid(frames[1]) == (1.0, 1.0)
+
+    def test_frames_csv_counts_are_uint16(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        path.write_text("2,3\n\n1,0,65535,+5,05, 7\r\n0,0,0,1,2,3\n")
+        frames = read_frames_csv(str(path))
+        assert frames.dtype == np.uint16 and frames.shape == (2, 2, 3)
+        assert np.array_equal(frames, float_frames(str(path)))
+        assert frames[0].tolist() == [[1, 0, 65535], [5, 5, 7]]
+
+    @pytest.mark.parametrize("first, last", [
+        ("5.0,0,0,0", "0,0,0,1"),
+        ("1e3,0,0,0", "0,0,0,1"),
+        ("-0,1,0,0", "0,0,0,1"),
+        ("70000,0,0,0", "0,0,0,1"),
+        ("1,0,0,0", "0,0,0,70000"),
+        ("1,0,0,0", "0,0,0,1.5"),
+        ("1,0,0,0", "0,-0,0,1"),
+    ], ids=["float_text", "exponent", "minus_zero", "above_uint16",
+            "above_uint16_last", "float_last", "minus_zero_last"])
+    def test_frames_csv_other_values_are_float(self, tmp_path, first, last):
+        path = tmp_path / "frames.csv"
+        path.write_text("2,2\n" + first + "\n" + "3,2,1,0\n" * 5 + last + "\n")
+        frames = read_frames_csv(str(path))
+        expect = float_frames(str(path))
+        assert frames.dtype == np.float64
+        assert frames.tobytes() == expect.tobytes()  # -0.0 kept
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 1.0])
+    def test_centroids_of_uint16_and_float_reads_are_identical(self, tmp_path, threshold):
+        # integer sums below 2**53 are exact in float64, so each frame's
+        # row and column sums, and so its centroid, cannot tell the dtypes apart
+        rng = np.random.default_rng(26)
+        counts = rng.integers(0, 65536, size=(40, 17, 23), dtype=np.uint16)
+        counts[3] = 0
+        counts[3, 5, 7] = 65535
+        integer, floats = tmp_path / "int.csv", tmp_path / "float.csv"
+        write_frames_csv(integer, counts)
+        write_frames_csv(floats, counts, fmt=lambda v: f"{v}.0")
+        a, b = read_frames_csv(str(integer)), read_frames_csv(str(floats))
+        assert (a.dtype, b.dtype) == (np.uint16, np.float64)
+        ta = centroid_trace(a, 0.01, threshold_fraction=threshold)
+        tb = centroid_trace(b, 0.01, threshold_fraction=threshold)
+        assert ta.xs.tobytes() == tb.xs.tobytes()
+        assert ta.ys.tobytes() == tb.ys.tobytes()
+        assert ta.meta == tb.meta
 
     def test_frames_csv_ragged_line_named(self, tmp_path):
         path = tmp_path / "frames.csv"
@@ -613,6 +675,8 @@ class TestReaderFuzz:
     @given(data=fuzz_bytes(b"2,2\n", b"1,1\n", b"1,3\n0,1,2\n"))
     @example(data=b"2,2\n\xff,0,0,0\n")
     @example(data=b"99999,99999\n1\n")
+    @example(data=b"1,3\n0,1,2\n65535,+5, 05\n")
+    @example(data=b"1,3\n0,1,2\n-0,1,2\n")
     def test_read_frames_csv(self, data):
         with tempfile.TemporaryDirectory() as d:
             path = f"{d}/frames.csv"
@@ -621,6 +685,9 @@ class TestReaderFuzz:
             frames = result_or_named_error(path, read_frames_csv)
             if frames is not None:
                 assert frames.ndim == 3 and frames.shape[0] >= 1
+                # integer counts or floats, with the float parse's values
+                assert frames.dtype in (np.uint16, np.float64)
+                assert frames.astype(float).tobytes() == float_frames(path).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.just(b"t_s,x,y\n0,1,2\n1,2,3\n"),

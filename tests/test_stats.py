@@ -77,6 +77,15 @@ class TestAcf:
         with pytest.raises(ValueError, match="series overflows: its sum of squares"):
             stats.acf(x, 10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", [stats.acf, stats.pacf, arma.diagnose_residuals])
+    def test_non_finite_named(self, function, bad):
+        # neither an overflow nor, for a constant infinity, a zero variance
+        for x in ([0.5] * 9 + [bad], [bad] * 10):
+            with pytest.raises(ValueError, match="series contains non-finite values"):
+                function(x, 3)
+
 
 class TestPacf:
     def test_ar1_truncation(self):
@@ -174,11 +183,25 @@ class TestRunLengthDistribution:
         with pytest.raises(ValueError):
             stats.run_length_distribution([], 0.5)
 
+    @pytest.mark.parametrize("x, threshold", [
+        (np.arange(10.0), math.nan),
+        ([0.5] * 9 + [math.nan], 0.5),
+        ([math.nan], math.inf),
+    ], ids=["nan_threshold", "nan_sample", "nan_both"])
+    def test_nan_refused(self, x, threshold):
+        # a NaN is neither >= nor < a threshold, so it has no side
+        with pytest.raises(ValueError, match="series and threshold must not be NaN"):
+            stats.run_length_distribution(x, threshold)
+
     @settings(max_examples=200, deadline=None)
     @given(x=hnp.arrays(float, st.integers(1, 300),
                         elements=st.sampled_from([0.0, 1.0, 2.0, math.nan])),
            threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
     def test_matches_loop_reference(self, x, threshold):
+        if np.isnan(x).any():
+            with pytest.raises(ValueError, match="must not be NaN"):
+                stats.run_length_distribution(x, threshold)
+            return
         above, below = stats.run_length_distribution(x, threshold)
         assert above.sum() + below.sum() == x.size
         assert (above.tolist(), below.tolist()) == loop_run_lengths(x, threshold)
