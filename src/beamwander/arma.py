@@ -15,12 +15,12 @@ One rule decides stability: the Schur-Cohn step-down of
 region. `root_moduli` (np.roots) only reports the roots, for error
 messages and tests; it decides nothing.
 
-One filter serves both directions: the compiled routine that
-scipy.signal.lfilter calls, loaded from its extension file alone
-(`_load_extension`), so that no scipy package is imported. Simulation runs
-the forward recursion theta(B)/phi(B) once per series (`_lfilter`). The
+One filter serves both directions: `_lfilter`, scipy.signal.lfilter's
+own arithmetic on the compiled routine it calls, loaded from its extension
+file alone (`_load_extension`), so that no scipy package is imported.
+Simulation runs the forward recursion theta(B)/phi(B) once per series. The
 fit inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution
-and one pass of the same routine (`_inverse_filter`).
+and one `_lfilter([1], theta, .)` pass.
 """
 
 from __future__ import annotations
@@ -87,21 +87,12 @@ def _linear_filter():
         return lfilter
 
 
-def _inverse_filter(theta, v) -> np.ndarray:
-    """theta(B)^-1 v with zero pre-sample terms, for a monic theta: the fit's
-    filter, scipy.signal.lfilter([1], theta, v) bit for bit. With q = 0, v
-    is returned as is.
-    """
-    if len(theta) == 1:
-        return v
-    return _lfilter([1.0], theta, v)
-
-
 def _lfilter(b, a, x) -> np.ndarray:
     """scipy.signal.lfilter(b, a, x), bit for bit, as lfilter computes it:
     a convolution for a single denominator term (its FIR path), else its
     compiled filter (`_linear_filter`). It serves simulate and
-    stationary_variance, and the fit through `_inverse_filter`.
+    stationary_variance, and as _lfilter([1], theta, v), theta(B)^-1 v with
+    zero pre-sample terms for a monic theta, the fit and residuals.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -279,12 +270,12 @@ def residuals(model: ArmaModel, series) -> np.ndarray:
     """Invert the recursion: e_t = x_t - c - sum M_i x_{t-i} - sum N_j e_{t-j},
     with zero pre-sample terms. Output length equals input length. That is
     theta(B)^-1 (phi(B) x - c): phi(B) x is a convolution, and one
-    `_inverse_filter` pass inverts theta(B)."""
+    `_lfilter` pass inverts theta(B)."""
     x = np.asarray(series, dtype=float)
     v = np.convolve(model.ar_poly(), x)[:x.size]
     if model.c != 0.0:
         v -= model.c
-    return _inverse_filter(model.ma_poly(), v)
+    return _lfilter([1.0], model.ma_poly(), v)
 
 
 def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
@@ -304,7 +295,7 @@ def _css(params, x, p, q) -> tuple[float, np.ndarray | None]:
     # inf/nan CSS is rejected by the line search, so silence the overflow
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.concatenate(([1.0], -params[:p]))
-        eps = _inverse_filter(theta, np.convolve(phi, x)[:x.size])
+        eps = _lfilter([1.0], theta, np.convolve(phi, x)[:x.size])
         s = float(np.dot(eps, eps))
     return (s, eps) if np.isfinite(s) else (float("inf"), None)
 
@@ -388,7 +379,7 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for base, src, lags in ((0, x, p), (p, eps, q)):
             if lags:
-                u = _inverse_filter(theta, src)
+                u = _lfilter([1.0], theta, src)
                 for i in range(1, lags + 1):
                     J[i:, base + i - 1] = -u[:-i]
     return J
@@ -449,8 +440,7 @@ def _pad_start(report: FitReport, p: int, q: int) -> np.ndarray:
     return np.array(m.ar + [0.0] * (p - m.p) + m.ma + [0.0] * (q - m.q))
 
 
-def fit_css(series, p: int, q: int, estimate_c: bool = True,
-            start_params=None) -> FitReport:
+def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
     """Conditional-least-squares ARMA fit.
 
     Minimizes the conditional sum of squared innovations (zero pre-sample
@@ -462,8 +452,6 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
       is singular or its CSS is not finite);
-    - start_params, when supplied: the p + q vector (ar, ma), e.g. a
-      smaller nested fit padded with zeros;
     - for p, q >= 1, the (p-1, q-1) fit, found here the same way, with a
       near-cancelling pair of factors (1 - a B) on phi and (1 - m B) on
       theta appended, for (a, m) = (0.99, 0.97) and (0.9, 0.8).
@@ -515,11 +503,7 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True,
     x, mean = _check_and_demean(series, estimate_c)
     if p < 0 or q < 0:
         raise ValueError(f"p and q must be >= 0, got p={p}, q={q}")
-    if start_params is not None:
-        start_params = np.array(start_params, dtype=float)
-        if start_params.size != p + q:
-            raise ValueError(f"start_params must have {p + q} entries")
-    report = _fit_css(x, mean, p, q, _long_ar(x), start_params)
+    report = _fit_css(x, mean, p, q, _long_ar(x))
     if not report.converged:
         raise FitConvergenceError(
             f"CSS optimizer did not converge in {_MAX_ITER} iterations", report)
@@ -552,13 +536,13 @@ def _check_and_demean(series, estimate_c: bool) -> tuple[np.ndarray, float | Non
 
 
 def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
-             start_params=None, nested: FitReport | None = None) -> FitReport:
+             warm=None, nested: FitReport | None = None) -> FitReport:
     """fit_css on the series that `_check_and_demean` turned into
     (x, mean), converged or not: c is estimated unless mean is None.
     long_ar is the `_long_ar` stage of x.
 
     Starts, in order: Hannan-Rissanen (zeros when its CSS is not finite),
-    the unit-free (ar, ma) vector start_params, and for p, q >= 1 the
+    order_scan's unit-free (ar, ma) vector warm, and for p, q >= 1 the
     common-factor extensions of nested, the series' (p-1, q-1) fit, which
     is fitted here when not given. `_gauss_newton` evaluates each start
     once. A start whose CSS is not finite ends there at inf and never wins,
@@ -573,7 +557,7 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     if eps is None:
         params, css, iterations, converged, eps = _gauss_newton(
             np.zeros_like(hr), x, p, q)
-    starts = [] if start_params is None else [start_params]
+    starts = [] if warm is None else [warm]
     if p > 0 and q > 0:
         if nested is None:
             nested = _fit_css(x, mean, p - 1, q - 1, long_ar)

@@ -275,6 +275,16 @@ def _data_lines(path: str):
                 yield lineno, line.split(",")
 
 
+def _loadtxt_float(field: str) -> float:
+    """float(field) as np.loadtxt reads it: ASCII between Unicode white
+    space, without the digit separators and non-ASCII digits that Python's
+    float() also takes; ValueError otherwise."""
+    v = field.strip()
+    if not v.isascii() or "_" in v:
+        raise ValueError(f"not a number: {field!r}")
+    return float(v)
+
+
 def _parse_rows(fh, path: str, ncols: int) -> np.ndarray:
     """Parse the rest of fh as rows of ncols finite comma-separated
     numbers, empty lines skipped. Errors name the file and the 1-based
@@ -296,7 +306,7 @@ def _parse_rows(fh, path: str, ncols: int) -> np.ndarray:
             raise ValueError(f"{path}: line {lineno}: {len(fields)} values, "
                              f"expected {ncols}")
         try:
-            finite = all(math.isfinite(float(v)) for v in fields)
+            finite = all(math.isfinite(_loadtxt_float(v)) for v in fields)
         except ValueError:
             raise ValueError(f"{path}: malformed row at line {lineno}") from None
         if not finite:

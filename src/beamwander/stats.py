@@ -58,17 +58,15 @@ def pacf(series, max_lag: int) -> np.ndarray:
     """Partial autocorrelations for lags 0..max_lag via the Durbin-Levinson
     recursion.
 
-    Lag-0 entry is 1 by convention; lag 1 equals the lag-1 ACF.
+    Lag-0 entry is 1 by convention; lag 1 equals the lag-1 ACF, the step
+    from an empty phi_prev, whose dot products are 0.0.
     """
     rho = acf(series, max_lag)
     pac = np.empty(max_lag + 1)
     pac[0] = 1.0
     phi_prev = np.zeros(0)
     for k in range(1, max_lag + 1):
-        if k == 1:
-            num = rho[1]
-        else:
-            num = rho[k] - float(np.dot(phi_prev, rho[k - 1:0:-1]))
+        num = rho[k] - float(np.dot(phi_prev, rho[k - 1:0:-1]))
         den = 1.0 - float(np.dot(phi_prev, rho[1:k]))
         phi_kk = num / den
         phi = np.empty(k)

@@ -68,28 +68,38 @@ def hyp2f1_beam(z: float) -> float:
 def wander_variance_general(p: LinkParams) -> float:
     """Beam-wander radial variance <r_c^2> for an arbitrary beam parameter.
 
-    2.42 Cn^2 L^3 omega0^(-1/3) 2F1(1/3, 1; 4; 1 - |theta0|); infinite
-    outer scale (kappa0 is ignored).
+    2.42 Cn^2 L^3 omega0^(-1/3) 2F1(1/3, 1; 4; 1 - |theta0|), the
+    collimated value times the 2F1 factor; infinite outer scale (kappa0 is
+    ignored).
     """
-    return 2.42 * p.cn2 * p.L**3 * p.omega0 ** (-1.0 / 3.0) * hyp2f1_beam(1.0 - abs(p.theta0))
+    return wander_variance_collimated(p) * hyp2f1_beam(1.0 - abs(p.theta0))
 
 
 def wander_variance_collimated(p: LinkParams) -> float:
-    """Collimated-beam (theta0 = 1) reduction: 2.42 Cn^2 L^3 omega0^(-1/3)."""
-    return 2.42 * p.cn2 * p.L**3 * p.omega0 ** (-1.0 / 3.0)
+    """Collimated-beam (theta0 = 1) reduction: 2.42 Cn^2 L^3 omega0^(-1/3),
+    inf where L^3 overflows, as a product that overflows gives."""
+    try:
+        return 2.42 * p.cn2 * p.L**3 * p.omega0 ** (-1.0 / 3.0)
+    except OverflowError:  # float ** raises where * gives inf
+        return math.inf
 
 
 def wander_variance_outer_scale(p: LinkParams) -> float:
     """Collimated-beam wander variance with a finite outer scale.
 
     Multiplies the infinite-outer-scale value by
-    1 - (k0^2 w0^2 / (1 + k0^2 w0^2))^(1/6); requires kappa0 > 0.
+    1 - (k0^2 w0^2 / (1 + k0^2 w0^2))^(1/6); requires kappa0 > 0. That
+    bracket is exactly 0.0 from k0 w0 ~ 1e8 up, and is 0.0 where
+    k0^2 w0^2 overflows.
     """
     if not p.kappa0 > 0:
         raise ValueError("kappa0 must be > 0; use wander_variance_collimated for "
                          "an infinite outer scale")
-    k2w2 = (p.kappa0 * p.omega0) ** 2
-    bracket = 1.0 - (k2w2 / (1.0 + k2w2)) ** (1.0 / 6.0)
+    try:
+        k2w2 = (p.kappa0 * p.omega0) ** 2
+    except OverflowError:
+        k2w2 = math.inf
+    bracket = 1.0 - (k2w2 / (1.0 + k2w2)) ** (1.0 / 6.0) if k2w2 < math.inf else 0.0
     return wander_variance_collimated(p) * bracket
 
 
@@ -105,12 +115,16 @@ def wander_variance(p: LinkParams) -> float:
 
 
 def long_term_beam_size(omega_st: float, rc_var: float) -> float:
-    """Long-term beam radius: sqrt(omega_st^2 + <r_c^2>)."""
+    """Long-term beam radius: sqrt(omega_st^2 + <r_c^2>), inf where
+    omega_st^2 overflows."""
     if not omega_st > 0:
         raise ValueError("omega_st must be positive")
     if rc_var < 0:
         raise ValueError("rc_var must be >= 0")
-    return math.sqrt(omega_st**2 + rc_var)
+    try:
+        return math.sqrt(omega_st**2 + rc_var)
+    except OverflowError:
+        return math.inf
 
 
 def greenwood_frequency(wind_speed: float, r0: float) -> float:

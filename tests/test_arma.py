@@ -224,7 +224,7 @@ class TestInverseFilter:
         for n in (3000, 100_000):
             x = rng.normal(3.0, 10.0, n)
             for theta in thetas:
-                assert (arma._inverse_filter(theta, x).tobytes()
+                assert (arma._lfilter([1.0], theta, x).tobytes()
                         == lfilter([1.0], theta, x).tobytes())
                 m = ArmaModel(c=model.c, ar=model.ar, ma=list(theta[1:]),
                               sigma2=1.0)
@@ -253,7 +253,7 @@ if sys.argv[1] == "inverse_filter":
             rng = np.random.default_rng([q, n])
             theta = np.poly(1.0 / rng.uniform(1.05, 3.0, q))  # monic, roots outside
             v = rng.normal(3.0, 10.0, n)
-            cases.append((theta, v, arma._inverse_filter(theta, v)))
+            cases.append((theta, v, arma._lfilter([1.0], theta, v)))
 else:
     arma._linear_filter()
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -381,8 +381,8 @@ FAR_GAIN_MODEL = ArmaModel(c=0.0, ar=list(-fourth_power(1 / 1.1)[1:]),
        seed=st.integers(0, 2**32 - 1))
 @example(model=FAR_GAIN_MODEL, n=60, seed=0)
 def test_residuals_invert_simulate(model, n, seed):
-    # the fit's banded-solve inverse filter undoes the in-package forward
-    # one, to rounding relative to the series' own magnitude
+    # the fit's inverse filter undoes the in-package forward one, to
+    # rounding relative to the series' own magnitude
     eps = np.random.default_rng(seed).normal(0.0, math.sqrt(model.sigma2), n)
     x = simulate(model, n, seed, burn_in=0)
     res = residuals(model, x)
@@ -463,11 +463,27 @@ class TestFitCss:
         assert math.isfinite(rep.css)
 
     def test_nested_css_with_warm_start(self):
+        # order_scan's warm start: the (1,1) fit padded to (2,2), on the
+        # demeaned series that both fits see
         x = simulate(TABLE_MODEL, 3000, seed=17)
         small = fit_css(x, 1, 1)
         start = np.concatenate((small.model.ar, [0.0], small.model.ma, [0.0]))
-        big = fit_css(x, 2, 2, start_params=start)
+        xd, mean = arma._check_and_demean(x, True)
+        big = arma._fit_css(xd, mean, 2, 2, arma._long_ar(xd), start)
+        assert big.converged
         assert big.css <= small.css * (1 + 1e-9)
+
+    def test_zeros_start_when_hannan_rissanen_is_not_invertible(self):
+        # over-differenced noise: the Hannan-Rissanen (0,1) start is
+        # theta = -1.161, whose CSS is not finite, so the fit starts at zeros
+        e = np.random.default_rng(1).normal(size=301)
+        x = e[1:] - e[:-1]
+        hr = arma._hannan_rissanen(x, 0, 1, arma._long_ar(x))
+        assert hr[0] == pytest.approx(-1.161, abs=1e-3)
+        assert arma._css(hr, x, 0, 1)[0] == math.inf
+        rep = fit_css(x, 0, 1, estimate_c=False)
+        assert rep.converged and rep.model.invertible
+        assert rep.css == arma._gauss_newton(np.zeros(1), x, 0, 1)[1]
 
     def test_short_series_rejected(self):
         x = np.random.default_rng(13).normal(size=30)
@@ -653,7 +669,9 @@ class TestGlobalMinimum:
     TRUTH = [1.759, -0.7626, -1.289, 0.3166]
 
     def truth_css(self, x):
-        return fit_css(x, 2, 2, estimate_c=False, start_params=self.TRUTH).css
+        _, css, _, converged, _ = arma._gauss_newton(np.array(self.TRUTH), x, 2, 2)
+        assert converged
+        return css
 
     def test_fit_css_reaches_truth_started_css(self):
         worse = []

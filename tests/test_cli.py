@@ -115,6 +115,30 @@ class TestTheory:
         failed_cleanly(code, out, capsys, "rc_var_general", "omega_lt")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--L", "1e103", "--omega0", "0.01"],
+         "rc_var_general, rc_var_collimated, rc_var"),
+        (["--L", "1000", "--omega0", "0.01", "--omega-st", "1e200"], "omega_lt"),
+    ], ids=["L_cubed", "omega_st_squared"])
+    def test_power_overflow_named(self, tmp_path, capsys, argv, named):
+        # float ** raises OverflowError where a product gives inf; the
+        # overflow is named as the product's is
+        code, out = run(tmp_path, "theory", "--cn2", "1e-14", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: result not finite: {named}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kappa0, omega0", [("1e150", "1"), ("1e160", "1"),
+                                                ("1e300", "1e10")],
+                             ids=["square_finite", "square_overflows", "product_inf"])
+    def test_far_outer_scale_is_zero(self, tmp_path, kappa0, omega0):
+        code, out = run(tmp_path, "theory", "--cn2", "1e-14", "--L", "1000",
+                        "--omega0", omega0, "--kappa0", kappa0)
+        assert code == 0
+        result = json.loads((out / "theory.json").read_text())
+        assert result["rc_var_outer_scale"] == result["rc_var"] == 0.0
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, tmp_path, model_path):
@@ -610,6 +634,29 @@ class TestIngest:
         for name in ("trace.csv", "trace.csv.json"):
             assert (tmp_path / "csv" / name).read_bytes() == \
                 (tmp_path / "pgm" / name).read_bytes()
+
+    def test_sample_period_equals_fps(self, tmp_path):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("2,2\n1,0,0,3\n0,2,1,0\n4,1,0,1\n")
+        code, by_period = run(tmp_path, "ingest", "--frames", str(frames),
+                              "--sample-period", "0.25", sub="period")
+        assert code == 0
+        code, by_fps = run(tmp_path, "ingest", "--frames", str(frames),
+                           "--fps", "4", sub="fps")
+        assert code == 0
+        for name in ("trace.csv", "trace.csv.json"):
+            assert (by_period / name).read_bytes() == (by_fps / name).read_bytes()
+        manifest = json.loads((by_period / "manifest.json").read_text())
+        assert manifest["params"]["sample_period"] == 0.25
+        assert manifest["params"]["fps"] is None
+
+    @pytest.mark.parametrize("period", ["0", "-1"])
+    def test_bad_sample_period_fails_cleanly(self, tmp_path, capsys, period):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("1,2\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+        code, out = run(tmp_path, "ingest", "--frames", str(frames),
+                        "--sample-period", period)
+        failed_cleanly(code, out, capsys, "sample_period must be positive")
 
     def test_missing_rate_fails(self, tmp_path, capsys):
         frames = tmp_path / "frames.csv"

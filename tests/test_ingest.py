@@ -189,6 +189,31 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="line 3"):
             read_trace(str(path))
 
+    # fields that Python's float() takes and np.loadtxt does not: a digit
+    # separator, an Arabic-Indic and a fullwidth digit
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11"],
+                             ids=["underscore", "arabic_indic", "fullwidth"])
+    def test_field_float_takes_but_loadtxt_rejects_named(self, tmp_path, field):
+        files = {"trace.csv": (read_trace, "t_s,x,y\n0.0,1,2\n\n0.01,%s,2\n"),
+                 "fading.csv": (lambda path: read_series(path, cli.FADING_HEADER),
+                                "t_s,intensity\n0.0,1\n\n0.01,%s\n"),
+                 "frames.csv": (read_frames_csv, "1,2\n0,1\n\n%s,2\n")}
+        for name, (reader, text) in files.items():
+            path = tmp_path / name
+            path.write_text(text % field, encoding="utf-8")
+            with pytest.raises(ValueError) as info:
+                reader(str(path))
+            assert str(info.value) == f"{path}: malformed row at line 4"
+
+    @pytest.mark.parametrize("field", [" 5", "\u20035", "+5", "5.", ".5", "1e3"],
+                             ids=["space", "em_space", "plus", "point_last",
+                                  "point_first", "exponent"])
+    def test_field_loadtxt_takes_reads(self, tmp_path, field):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t_s,x,y\n0.0,1,{field}\n0.01,{field},2\n", encoding="utf-8")
+        tr = read_trace(str(path))
+        assert tr.xs[1] == tr.ys[0] == float(field)
+
 
 class TestFrameFiles:
     def test_pgm_roundtrip(self, tmp_path):

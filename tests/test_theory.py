@@ -80,6 +80,22 @@ class TestWanderVariance:
         assert wander_variance_collimated(p2) == pytest.approx(
             8 * wander_variance_collimated(p1), rel=1e-12)
 
+    def test_general_is_the_one_product(self):
+        # the collimated value times the 2F1 factor, bit for bit the product
+        # written out in one expression
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            p = random_params(rng)
+            assert wander_variance_general(p) == (
+                2.42 * p.cn2 * p.L**3 * p.omega0 ** (-1.0 / 3.0)
+                * hyp2f1_beam(1.0 - abs(p.theta0)))
+
+    def test_power_overflow_is_inf(self):
+        # L^3 overflows: float ** raises, so the product would never reach inf
+        p = LinkParams(cn2=1e-14, L=1e103, omega0=0.01)
+        assert wander_variance_collimated(p) == math.inf
+        assert wander_variance_general(p) == math.inf
+
     def test_waist_scaling(self):
         p1 = LinkParams(cn2=1e-14, L=100, omega0=0.01)
         p2 = LinkParams(cn2=1e-14, L=100, omega0=0.08)
@@ -120,6 +136,15 @@ class TestOuterScale:
         assert prev < coll
         assert prev == pytest.approx(coll, rel=0.05)
 
+    @pytest.mark.parametrize("kappa0, omega0", [(1e150, 1.0), (1e160, 1.0),
+                                                (1e300, 1e10)],
+                             ids=["square_finite", "square_overflows", "product_inf"])
+    def test_far_outer_scale_is_zero(self, kappa0, omega0):
+        # from k0 w0 ~ 1e8 the bracket is exactly 0.0, and so it stays
+        # where (k0 w0)^2 overflows
+        p = LinkParams(cn2=1e-14, L=100, omega0=omega0, kappa0=kappa0)
+        assert wander_variance_outer_scale(p) == 0.0
+
     def test_zero_kappa_rejected(self):
         p = LinkParams(cn2=1e-14, L=100, omega0=0.01, kappa0=0.0)
         with pytest.raises(ValueError):
@@ -135,6 +160,9 @@ class TestOuterScale:
 class TestLongTermBeam:
     def test_no_wander(self):
         assert long_term_beam_size(0.05, 0.0) == 0.05
+
+    def test_square_overflow_is_inf(self):
+        assert long_term_beam_size(1e200, 1.0) == math.inf
 
     def test_pythagorean(self):
         assert long_term_beam_size(3.0, 16.0) == pytest.approx(5.0, rel=1e-15)
