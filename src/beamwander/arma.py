@@ -19,8 +19,9 @@ One filter serves both directions: `_lfilter`, scipy.signal.lfilter's
 own arithmetic on the compiled routine it calls, loaded from its extension
 file alone (`_load_extension`), so that no scipy package is imported.
 Simulation runs the forward recursion theta(B)/phi(B) once per series. The
-fit inverts it thousands of times, theta(B)^-1 phi(B) x, as a convolution
-and one `_lfilter([1], theta, .)` pass.
+fit inverts it thousands of times, as phi(B) theta(B)^-1 x: one
+`_lfilter([1], theta, .)` pass gives u = theta(B)^-1 x, whose lags are the
+Jacobian's AR columns, and a convolution by phi(B) gives the residuals.
 """
 
 from __future__ import annotations
@@ -269,13 +270,15 @@ def simulate(model: ArmaModel, n: int, seed: int, burn_in: int | None = None) ->
 def residuals(model: ArmaModel, series) -> np.ndarray:
     """Invert the recursion: e_t = x_t - c - sum M_i x_{t-i} - sum N_j e_{t-j},
     with zero pre-sample terms. Output length equals input length. That is
-    theta(B)^-1 (phi(B) x - c): phi(B) x is a convolution, and one
-    `_lfilter` pass inverts theta(B)."""
+    phi(B) theta(B)^-1 x - theta(B)^-1 c, in the fit's order (`_css`): one
+    `_lfilter` pass inverts theta(B), a convolution applies phi(B), and for
+    c != 0 a second pass gives theta(B)^-1 c."""
     x = np.asarray(series, dtype=float)
-    v = np.convolve(model.ar_poly(), x)[:x.size]
+    theta = model.ma_poly()
+    e = np.convolve(model.ar_poly(), _lfilter([1.0], theta, x))[:x.size]
     if model.c != 0.0:
-        v -= model.c
-    return _lfilter([1.0], model.ma_poly(), v)
+        e -= _lfilter([1.0], theta, np.full(x.size, model.c))
+    return e
 
 
 def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
@@ -285,40 +288,46 @@ def information_criteria(loglik: float, k: int, n: int) -> tuple[float, float]:
     return 2.0 * k - 2.0 * loglik, k * math.log(n) - 2.0 * loglik
 
 
-def _css(params, x, p, q) -> tuple[float, np.ndarray | None]:
-    """CSS and residuals theta(B)^-1 phi(B) x at params = (ar, ma), with
-    c = 0; (inf, None) outside the invertible region or on overflow."""
+def _css(params, x, p, q) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """(CSS, residuals, u) at params = (ar, ma), with c = 0: u = theta(B)^-1 x
+    and the residuals phi(B) u, which are theta(B)^-1 phi(B) x to rounding,
+    since both filters start from zero pre-sample terms and so commute;
+    (inf, None, None) outside the invertible region or on overflow. A trial
+    step may overflow, and the line search rejects its inf or NaN CSS, so
+    the caller silences overflow (`_gauss_newton`'s np.errstate)."""
     theta = np.concatenate(([1.0], params[p:]))
     if not _outside_unit_circle(theta):
-        return float("inf"), None
-    # trial steps may cross into explosive theta territory; the resulting
-    # inf/nan CSS is rejected by the line search, so silence the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.concatenate(([1.0], -params[:p]))
-        eps = _lfilter([1.0], theta, np.convolve(phi, x)[:x.size])
-        s = float(np.dot(eps, eps))
-    return (s, eps) if np.isfinite(s) else (float("inf"), None)
+        return math.inf, None, None
+    u = _lfilter([1.0], theta, x)
+    eps = np.convolve(np.concatenate(([1.0], -params[:p])), u)[:x.size]
+    s = float(np.dot(eps, eps))
+    return (s, eps, u) if math.isfinite(s) else (math.inf, None, None)
 
 
 def _ols(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of y on the columns of A, from the
     normal equations: k x k work instead of a factorization of the tall A.
-    The minimum-norm solve keeps rank-deficient A'A usable. Normal
-    equations that overflow raise LinAlgError before LAPACK sees them: given
-    inf or NaN, lstsq prints to stdout and may never return."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ata, aty = A.T @ A, A.T @ y
+    An LU solve serves; an exactly singular A'A, where LU fails, takes the
+    minimum-norm lstsq solution. Normal equations that overflow raise
+    LinAlgError before LAPACK sees them: given inf or NaN, lstsq prints to
+    stdout and may never return. Every caller runs it under
+    np.errstate(over="ignore", invalid="ignore"), so that an overflow
+    raises that error alone, without a warning."""
+    ata, aty = A.T @ A, A.T @ y
     if not (np.isfinite(ata).all() and np.isfinite(aty).all()):
         raise np.linalg.LinAlgError("normal equations are not finite")
-    return np.linalg.lstsq(ata, aty, rcond=None)[0]
+    try:
+        return np.linalg.solve(ata, aty)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(ata, aty, rcond=None)[0]
 
 
 def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     """First Hannan-Rissanen stage: (m, eps_hat), eps_hat being the
     residuals of a long AR(m) regression of x[m:] on its m lags, with no
     intercept (the fit's series has c = 0), m = min(20, n // 10) (at least
-    1), zero for t < m, or None when the regression is singular, overflows
-    or has no rows. It depends on the series alone: one result serves every
+    1), zero for t < m, or None when its normal equations overflow or it
+    has no rows. It depends on the series alone: one result serves every
     (p, q), and scaling x scales eps_hat alike."""
     n = x.size
     m = max(min(20, n // 10), 1)
@@ -328,7 +337,8 @@ def _long_ar(x: np.ndarray) -> tuple[int, np.ndarray | None]:
     for i in range(1, m + 1):
         A[:, i - 1] = x[m - i:n - i]
     try:
-        coef = _ols(A, x[m:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = _ols(A, x[m:])
     except np.linalg.LinAlgError:
         return m, None
     eps_hat = np.zeros(n)
@@ -340,8 +350,8 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int,
                      long_ar: tuple[int, np.ndarray | None]) -> np.ndarray:
     """Two-stage initial estimate: OLS of x on its own lags and the lags of
     the long-AR innovation proxies (`_long_ar`), solved through the normal
-    equations. Falls back to zeros if either regression is singular or
-    overflows."""
+    equations. Falls back to zeros when either regression overflows, too
+    few rows remain, or its coefficients are not finite."""
     n = x.size
     k = p + q
     fallback = np.zeros(k)
@@ -357,7 +367,8 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int,
     cols = ([x[start - i:n - i] for i in range(1, p + 1)]
             + [eps_hat[start - j:n - j] for j in range(1, q + 1)])
     try:
-        beta = _ols(np.column_stack(cols), x[start:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = _ols(np.column_stack(cols), x[start:])
     except np.linalg.LinAlgError:
         return fallback
     if not np.all(np.isfinite(beta)):
@@ -365,23 +376,23 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int,
     return beta
 
 
-def _jacobian(params: np.ndarray, eps: np.ndarray, x: np.ndarray, p: int,
+def _jacobian(params: np.ndarray, eps: np.ndarray, u: np.ndarray, p: int,
               q: int) -> np.ndarray:
-    """Exact Jacobian of the residual vector eps = residuals at params.
+    """Exact Jacobian of the residual vector eps at params, u being
+    theta(B)^-1 x there (`_css`).
 
     From theta(B) e_t = phi(B) x_t (Box, Jenkins & Reinsel, Time Series
-    Analysis, sec. 7.2): de/dM_i = -theta(B)^-1 x_{t-i} and
-    de/dN_j = -theta(B)^-1 e_{t-j}, each with zero pre-sample terms, so one
-    filter pass per regressor serves every lag.
+    Analysis, sec. 7.2): de/dM_i = -theta(B)^-1 x_{t-i} = -u_{t-i} and
+    de/dN_j = -theta(B)^-1 e_{t-j}, each with zero pre-sample terms. So the
+    AR columns are lags of u, and one filter pass of eps serves every MA lag.
     """
-    theta = np.concatenate(([1.0], params[p:]))
-    J = np.zeros((x.size, p + q), order="F")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for base, src, lags in ((0, x, p), (p, eps, q)):
-            if lags:
-                u = _lfilter([1.0], theta, src)
-                for i in range(1, lags + 1):
-                    J[i:, base + i - 1] = -u[:-i]
+    J = np.zeros((u.size, p + q), order="F")
+    for i in range(1, p + 1):
+        J[i:, i - 1] = -u[:-i]
+    if q:
+        v = _lfilter([1.0], np.concatenate(([1.0], params[p:])), eps)
+        for j in range(1, q + 1):
+            J[j:, p + j - 1] = -v[:-j]
     return J
 
 
@@ -390,37 +401,46 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
 
     Exact Jacobian, step-halving line search; converged when the relative
     CSS change drops below _TOL or no descent step remains, with at most
-    _MAX_ITER iterations. Returns (params, css, iterations, converged, eps),
-    eps being the residuals at params; a start whose CSS is not finite
-    returns (params0, inf, 0, False, None).
+    _MAX_ITER iterations. The normal equations are solved by LU (`_ols`).
+    Returns (params, css, iterations, converged, eps), eps being the
+    residuals at params; a start whose CSS is not finite returns
+    (params0, inf, 0, False, None).
+
+    A halving ends the line search, as failed, once its trial point equals
+    the current one bit for bit: every shorter step rounds to that point
+    too, so no later halving can descend, and up to 40 halvings give the
+    same result. One np.errstate covers the run, for the overflow of a
+    trial step (`_css`).
     """
     params = params0.copy()
-    css, eps = _css(params, x, p, q)
-    if params.size == 0 or eps is None:
-        return params, css, 0, eps is not None, eps
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        J = _jacobian(params, eps, x, p, q)
-        step = -_ols(J, eps)
-        new_css = None
-        t = 1.0
-        for _ in range(40):
-            trial = params + t * step
-            s, trial_eps = _css(trial, x, p, q)
-            if s < css:
-                new_css = s
-                params, eps = trial, trial_eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        css, eps, u = _css(params, x, p, q)
+        if params.size == 0 or eps is None:
+            return params, css, 0, eps is not None, eps
+        converged = False
+        iterations = 0
+        for iterations in range(1, _MAX_ITER + 1):
+            step = -_ols(_jacobian(params, eps, u, p, q), eps)
+            new_css = None
+            t = 1.0
+            for _ in range(40):
+                trial = params + t * step
+                s, trial_eps, trial_u = _css(trial, x, p, q)
+                if s < css:
+                    new_css = s
+                    params, eps, u = trial, trial_eps, trial_u
+                    break
+                if trial.tobytes() == params.tobytes():
+                    break
+                t *= 0.5
+            if new_css is None:
+                converged = True  # no descent direction left
                 break
-            t *= 0.5
-        if new_css is None:
-            converged = True  # no descent direction left
-            break
-        if abs(css - new_css) <= _TOL * css:
+            if abs(css - new_css) <= _TOL * css:
+                css = new_css
+                converged = True
+                break
             css = new_css
-            converged = True
-            break
-        css = new_css
     return params, css, iterations, converged, eps
 
 
@@ -577,7 +597,9 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     sigma2 = css / dof
     cov = np.empty((0, 0))
     if k > 0:
-        J = _jacobian(params, eps, x, p, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _lfilter([1.0], np.concatenate(([1.0], ma)), x)
+            J = _jacobian(params, eps, u, p, q)
         try:
             cov = sigma2 * np.linalg.inv(J.T @ J)
         except np.linalg.LinAlgError:

@@ -130,6 +130,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(TABLE_MODEL, 0, seed=0)
 
+    def test_not_invertible_rejected(self):
+        bad = ArmaModel(c=0.0, ar=[0.5], ma=[2.0], sigma2=1.0)
+        with pytest.raises(ValueError,
+                           match=r"^model is not invertible \(MA root moduli \[0\.5\]\)$"):
+            simulate(bad, 100, seed=0)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="^burn_in must be >= 0$"):
+            simulate(TABLE_MODEL, 100, seed=0, burn_in=-1)
+
     def test_constant_term_shifts_mean(self):
         model = ArmaModel(c=1.0, ar=[0.5], ma=[], sigma2=0.01)
         x = simulate(model, 200_000, seed=9)
@@ -296,6 +306,12 @@ class TestLoadExtension:
         result = json.loads(proc.stdout)
         assert result["loaded"] == []  # the direct route, leaving nothing registered
         assert result["same"] == [True] * (10 if route == "inverse_filter" else len(models))
+
+    def test_missing_extension_raises_import_error(self):
+        name = "scipy.signal._no_such_extension"
+        with pytest.raises(ImportError, match="^no _no_such_extension extension in "):
+            arma._load_extension(name)
+        assert name not in sys.modules
 
     def test_fallback_fits_alike(self):
         x = simulate(TABLE_MODEL, 3000, seed=19)
@@ -555,6 +571,59 @@ class TestFitCss:
         assert math.isfinite(fits[selected].bic)
 
 
+class TestStartFallbacks:
+    """The first Hannan-Rissanen stage and the regression after it fall
+    back to no estimate, and the start to zeros, rather than fail the fit.
+    `_fit_css`'s length check and `_check_and_demean`'s finite, normal sum
+    of squares keep a fit's own series from most of these cases, so each
+    is called here directly."""
+
+    def test_long_ar_overflow_or_no_rows(self):
+        assert arma._long_ar(np.full(100, 1e200)) == (10, None)
+        assert arma._long_ar(np.ones(1)) == (1, None)
+
+    def test_long_ar_singular_takes_minimum_norm(self):
+        # every lag is zero, so A'A = 0: no LU factor, and the minimum-norm
+        # coefficients are zeros
+        x = np.zeros(50)
+        x[-1] = 1.0
+        m, eps_hat = arma._long_ar(x)
+        assert eps_hat.tobytes() == np.concatenate((np.zeros(m), x[m:])).tobytes()
+
+    def test_ols_singular_takes_minimum_norm(self):
+        # two equal columns: LU fails on the exactly singular A'A
+        a = np.arange(5.0)
+        assert arma._ols(np.column_stack((a, a)), a) == pytest.approx([0.5, 0.5],
+                                                                      rel=1e-12)
+
+    def test_hannan_rissanen_without_long_ar(self):
+        x = np.random.default_rng(29).normal(size=200)
+        assert arma._hannan_rissanen(x, 1, 1, (2, None)).tolist() == [0.0, 0.0]
+
+    def test_hannan_rissanen_too_few_rows(self):
+        # m = 1 and start = m + 5 leave 9 rows for 10 coefficients
+        x = np.random.default_rng(29).normal(size=15)
+        assert arma._hannan_rissanen(x, 5, 5, arma._long_ar(x)).tolist() == [0.0] * 10
+
+    def test_hannan_rissanen_overflow(self):
+        x = np.full(200, 1e200)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            arma._ols(x[2:-1, None], x[3:])
+        assert arma._hannan_rissanen(x, 1, 0, (2, np.ones(200))).tolist() == [0.0]
+
+    def test_hannan_rissanen_non_finite_coefficients(self):
+        # proxies of 1e-162 give A'A near 1e-322, and A'y / A'A overflows
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=200) * 1e150
+        eps_hat = np.zeros(200)
+        eps_hat[2:] = rng.normal(size=198) * 1e-162
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            beta = arma._ols(eps_hat[2:-1, None], x[3:])
+        assert not np.isfinite(beta).all()
+        assert arma._hannan_rissanen(x, 0, 1, (2, eps_hat)).tolist() == [0.0]
+
+
 class TestUnits:
     """No step of the fit has an intercept: with c fixed it runs on the
     series, with c estimated on the demeaned series, and the long-AR stage
@@ -703,13 +772,51 @@ class TestGlobalMinimum:
         assert a.model == b.model and a.css == b.css
 
 
+def gauss_newton_all_halvings(params0, x, p, q):
+    """arma._gauss_newton's loop, except that a failed line search runs all
+    40 halvings; returns its result and how many failed searches met a trial
+    equal to the current point bit for bit."""
+    params = params0.copy()
+    no_ops = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        css, eps, u = arma._css(params, x, p, q)
+        if params.size == 0 or eps is None:
+            return (params, css, 0, eps is not None, eps), no_ops
+        converged = False
+        iterations = 0
+        for iterations in range(1, arma._MAX_ITER + 1):
+            step = -arma._ols(arma._jacobian(params, eps, u, p, q), eps)
+            new_css = None
+            t = 1.0
+            no_op = False
+            for _ in range(40):
+                trial = params + t * step
+                s, trial_eps, trial_u = arma._css(trial, x, p, q)
+                if s < css:
+                    new_css = s
+                    params, eps, u = trial, trial_eps, trial_u
+                    break
+                no_op = no_op or trial.tobytes() == params.tobytes()
+                t *= 0.5
+            if new_css is None:
+                no_ops += no_op
+                converged = True
+                break
+            if abs(css - new_css) <= arma._TOL * css:
+                css = new_css
+                converged = True
+                break
+            css = new_css
+    return (params, css, iterations, converged, eps), no_ops
+
+
 class TestEngine:
     def test_jacobian_matches_finite_differences(self):
         x = simulate(TABLE_MODEL, 500, seed=26) + 3.0
         params = np.array([1.7, -0.74, 0.2, -1.2, 0.3, 0.05])
         p, q = 3, 3
-        eps = arma._css(params, x, p, q)[1]
-        J = arma._jacobian(params, eps, x, p, q)
+        _, eps, u = arma._css(params, x, p, q)
+        J = arma._jacobian(params, eps, u, p, q)
         for i in range(params.size):
             h = 1e-6 * (1.0 + abs(params[i]))
             up = params.copy(); up[i] += h
@@ -717,6 +824,33 @@ class TestEngine:
             fd = (arma._css(up, x, p, q)[1]
                   - arma._css(dn, x, p, q)[1]) / (2 * h)
             assert np.allclose(J[:, i], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("tol", [arma._TOL, 0.0], ids=["tol", "no_tol"])
+    def test_line_search_end_is_exact(self, monkeypatch, tol):
+        # a failed line search ends at its first trial that equals the
+        # current point bit for bit; this copy of the loop always runs all
+        # 40 halvings instead. With no tolerance every run ends in a failed
+        # search (or at the cap), so the early end runs in most cases
+        monkeypatch.setattr(arma, "_TOL", tol)
+        rng = np.random.default_rng(28)
+        no_ops = 0
+        for case in range(24):
+            p, q = (int(v) for v in rng.integers(0, 4, 2))
+            if p + q == 0:
+                continue
+            x = simulate(TABLE_MODEL, 600, seed=case)
+            starts = [arma._hannan_rissanen(x, p, q, arma._long_ar(x)),
+                      np.zeros(p + q), rng.normal(0.0, 0.3, p + q)]
+            for s0 in starts:
+                expect, seen = gauss_newton_all_halvings(s0, x, p, q)
+                got = arma._gauss_newton(s0, x, p, q)
+                assert got[0].tobytes() == expect[0].tobytes()
+                assert got[1:4] == expect[1:4]
+                assert (got[4] is None) == (expect[4] is None)
+                if got[4] is not None:
+                    assert got[4].tobytes() == expect[4].tobytes()
+                no_ops += seen
+        assert no_ops > 0
 
     def test_invertible_matches_roots(self):
         # the step-down decides; np.roots agrees wherever no root is within
@@ -781,6 +915,12 @@ class TestOrderScan:
         x[7] = bad
         with pytest.raises(ValueError, match=named):
             order_scan(x, 2, 2)
+
+    @pytest.mark.parametrize("p_max, q_max", [(-1, 2), (2, -1)])
+    def test_negative_grid_rejected(self, p_max, q_max):
+        x = np.random.default_rng(22).normal(size=1000)
+        with pytest.raises(ValueError, match="^p_max and q_max must be >= 0$"):
+            order_scan(x, p_max, q_max)
 
     def test_rows_cover_grid(self):
         x = np.random.default_rng(22).normal(size=1000)
@@ -851,6 +991,10 @@ class TestDiagnostics:
         x = np.random.default_rng(23).normal(size=500) * scale
         with pytest.raises(ValueError, match="residuals underflow: " + named):
             diagnose_residuals(x, 10)
+
+    def test_chi2_quantile_needs_a_degree_of_freedom(self):
+        with pytest.raises(ValueError, match="^df must be >= 1$"):
+            chi2_quantile(0.99, 0)
 
     def test_chi2_quantile_against_scipy(self):
         from scipy.stats import chi2

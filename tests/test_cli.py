@@ -528,6 +528,12 @@ class TestCrosstalk:
                              "--omega-st", "1.0")
 
 
+    def test_zero_omega_st_fails_cleanly(self, tmp_path, capsys, inputs):
+        code, out = run(tmp_path, "crosstalk", "--trace", inputs["trace"],
+                        "--omega-st", "0")
+        failed_cleanly(code, out, capsys, "ValueError: omega_st must be positive")
+
+
 class TestCompare:
     def test_deterministic_and_summed(self, tmp_path, model_path, capsys):
         code, out1 = run(tmp_path, "--seed", "5", "compare", "--model",
@@ -593,6 +599,16 @@ class TestCompare:
             assert comp[f"{key}_tail_count"] == sum(
                 c for side in counts[key].values() for length, c in side.items()
                 if length >= tail)
+
+
+    @pytest.mark.parametrize("counts, named", [(["--n", "0"], "n must be positive"),
+                                               (["--n", "50", "--seeds", "0"],
+                                                "seeds must be positive")],
+                             ids=["n", "seeds"])
+    def test_zero_count_fails_cleanly(self, tmp_path, capsys, inputs, counts, named):
+        code, out = run(tmp_path, "compare", "--model", inputs["model"],
+                        "--gamma", "0.7", *counts)
+        failed_cleanly(code, out, capsys, f"ValueError: {named}")
 
 
 class TestIngest:

@@ -215,6 +215,23 @@ class TestTraceIO:
         assert tr.xs[1] == tr.ys[0] == float(field)
 
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_row_in_a_stream_read_once(self):
+        # a pipe (as a shell's <(...) passes it) gives its rows to the fast
+        # parse only: reopened for the scan that names the bad line, it is
+        # empty, and the error can only say that some row was bad
+        r, w = os.pipe()
+        try:
+            os.write(w, b"t_s,x,y\n0.0,1,2\n0.01,1,x\n")
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            with pytest.raises(ValueError) as info:
+                read_trace(path)
+            assert str(info.value) == f"{path}: rows are not 3 comma-separated numbers"
+        finally:
+            os.close(r)
+
+
 class TestFrameFiles:
     def test_pgm_roundtrip(self, tmp_path):
         g = (np.arange(12, dtype=np.uint8).reshape(3, 4) * 3)
