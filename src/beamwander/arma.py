@@ -102,6 +102,17 @@ def _lfilter(b, a, x) -> np.ndarray:
     return _linear_filter()(b, a, x, -1)
 
 
+_ONE = np.ones(1)  # the numerator of theta(B)^-1, for `_linear_filter` calls
+
+
+def _monic(tail: np.ndarray) -> np.ndarray:
+    """The polynomial [1, *tail], in ascending powers."""
+    poly = np.empty(tail.size + 1)
+    poly[0] = 1.0
+    poly[1:] = tail
+    return poly
+
+
 class FitConvergenceError(RuntimeError):
     """fit_css hit the iteration cap; `.report` is the best iterate found."""
 
@@ -215,12 +226,13 @@ def _outside_unit_circle(poly) -> bool:
     poly[0] == 1) lies strictly outside the unit circle: the Schur-Cohn
     step-down recursion on the reversed polynomial keeps every reflection
     coefficient inside (-1, 1)."""
-    a = [float(v) for v in poly]
+    a = np.asarray(poly, dtype=float).tolist()
     while len(a) > 1:
         k = a[-1]
         if not abs(k) < 1.0:
             return False
-        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
+        d = 1.0 - k * k
+        a = [(lo - k * hi) / d for lo, hi in zip(a[:-1], a[:0:-1])]
     return True
 
 
@@ -294,12 +306,22 @@ def _css(params, x, p, q) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     since both filters start from zero pre-sample terms and so commute;
     (inf, None, None) outside the invertible region or on overflow. A trial
     step may overflow, and the line search rejects its inf or NaN CSS, so
-    the caller silences overflow (`_gauss_newton`'s np.errstate)."""
-    theta = np.concatenate(([1.0], params[p:]))
-    if not _outside_unit_circle(theta):
-        return math.inf, None, None
-    u = _lfilter([1.0], theta, x)
-    eps = np.convolve(np.concatenate(([1.0], -params[:p])), u)[:x.size]
+    the caller silences overflow (`_gauss_newton`'s np.errstate).
+
+    With q = 0 the theta filter, and with p = 0 the phi convolution, is a
+    convolution by a lone 1.0. It adds each term v_t into +0.0, so v + 0.0,
+    which keeps every bit of v but the sign of a negative zero, replaces it."""
+    if q:
+        theta = _monic(params[p:])
+        if not _outside_unit_circle(theta):
+            return math.inf, None, None
+        u = _linear_filter()(_ONE, theta, x, -1)
+    else:
+        u = x + 0.0
+    if p:
+        eps = np.convolve(_monic(-params[:p]), u)[:x.size]
+    else:
+        eps = u + 0.0
     s = float(np.dot(eps, eps))
     return (s, eps, u) if math.isfinite(s) else (math.inf, None, None)
 
@@ -377,22 +399,26 @@ def _hannan_rissanen(x: np.ndarray, p: int, q: int,
 
 
 def _jacobian(params: np.ndarray, eps: np.ndarray, u: np.ndarray, p: int,
-              q: int) -> np.ndarray:
+              q: int, J: np.ndarray | None = None) -> np.ndarray:
     """Exact Jacobian of the residual vector eps at params, u being
-    theta(B)^-1 x there (`_css`).
+    theta(B)^-1 x there (`_css`). It is written into J when given, an
+    n x (p + q) Fortran array that is zero where a column's lag reaches
+    before the series, as `_gauss_newton` allocates it once per run;
+    otherwise np.zeros makes one.
 
     From theta(B) e_t = phi(B) x_t (Box, Jenkins & Reinsel, Time Series
     Analysis, sec. 7.2): de/dM_i = -theta(B)^-1 x_{t-i} = -u_{t-i} and
     de/dN_j = -theta(B)^-1 e_{t-j}, each with zero pre-sample terms. So the
     AR columns are lags of u, and one filter pass of eps serves every MA lag.
     """
-    J = np.zeros((u.size, p + q), order="F")
+    if J is None:
+        J = np.zeros((u.size, p + q), order="F")
     for i in range(1, p + 1):
-        J[i:, i - 1] = -u[:-i]
+        np.negative(u[:-i], out=J[i:, i - 1])
     if q:
-        v = _lfilter([1.0], np.concatenate(([1.0], params[p:])), eps)
+        v = _linear_filter()(_ONE, _monic(params[p:]), eps, -1)
         for j in range(1, q + 1):
-            J[j:, p + j - 1] = -v[:-j]
+            np.negative(v[:-j], out=J[j:, p + j - 1])
     return J
 
 
@@ -417,10 +443,11 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
         css, eps, u = _css(params, x, p, q)
         if params.size == 0 or eps is None:
             return params, css, 0, eps is not None, eps
+        J = np.zeros((x.size, params.size), order="F")
         converged = False
         iterations = 0
         for iterations in range(1, _MAX_ITER + 1):
-            step = -_ols(_jacobian(params, eps, u, p, q), eps)
+            step = -_ols(_jacobian(params, eps, u, p, q, J), eps)
             new_css = None
             t = 1.0
             for _ in range(40):
@@ -445,12 +472,12 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
 
 
 # (a, m) pairs of the common factors (1 - a B) on phi and (1 - m B) on theta
-# that turn a (p-1, q-1) fit into (p, q) starts: one pair near the unit
-# circle, one further in. Near-cancelling AR/MA root pairs (the reference
-# model's are 1.016 and 1.043) sit in basins that the Hannan-Rissanen start
-# often misses; a != m keeps each start off the redundant manifold a = m,
-# where J'J is singular.
-_COMMON_FACTORS = ((0.99, 0.97), (0.9, 0.8))
+# that turn a (p-1, q-1) fit into (p, q) starts: one pair, near the unit
+# circle. Near-cancelling AR/MA root pairs (the reference model's are 1.016
+# and 1.043) sit in basins that the Hannan-Rissanen start often misses;
+# a != m keeps the start off the redundant manifold a = m, where J'J is
+# singular.
+_COMMON_FACTORS = ((0.99, 0.97),)
 _MAX_ITER, _TOL = 500, 1e-10  # Gauss-Newton iteration cap, relative CSS tolerance
 
 
@@ -472,9 +499,9 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
       is singular or its CSS is not finite);
-    - for p, q >= 1, the (p-1, q-1) fit, found here the same way, with a
-      near-cancelling pair of factors (1 - a B) on phi and (1 - m B) on
-      theta appended, for (a, m) = (0.99, 0.97) and (0.9, 0.8).
+    - for p, q >= 1, one common-factor start: the (p-1, q-1) fit, found
+      here the same way, with a near-cancelling pair of factors (1 - a B)
+      on phi and (1 - m B) on theta appended, (a, m) = (0.99, 0.97).
 
     Each start is evaluated once; one whose CSS is not finite (outside the
     invertible region, or overflowing) never wins, since the first start's
@@ -482,8 +509,8 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
 
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
     the Hannan-Rissanen start alone often ends in a local minimum whose
-    roots all lie far from the unit circle; the common-factor starts
-    reach the basin with the near-cancelling pair. Standard errors come
+    roots all lie far from the unit circle; the common-factor start
+    reaches the basin with the near-cancelling pair. Standard errors come
     from the Gauss-Newton curvature J'J of the objective at the optimum.
 
     The search stays inside the invertible region (every root of theta
@@ -563,7 +590,7 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
 
     Starts, in order: Hannan-Rissanen (zeros when its CSS is not finite),
     order_scan's unit-free (ar, ma) vector warm, and for p, q >= 1 the
-    common-factor extensions of nested, the series' (p-1, q-1) fit, which
+    common-factor extension of nested, the series' (p-1, q-1) fit, which
     is fitted here when not given. `_gauss_newton` evaluates each start
     once. A start whose CSS is not finite ends there at inf and never wins,
     since the first start's CSS is finite; on ties the earlier start wins.
@@ -637,8 +664,8 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     Grid cells are fitted in increasing order. Besides the starts of
     fit_css, each cell is warm-started from the lower-CSS of its fitted
     (p-1, q) and (p, q-1) neighbors, zero-padded, so the CSS of nested
-    models is non-increasing across the grid, and its common-factor starts
-    extend the fitted (p-1, q-1) cell. Non-convergent and non-stationary
+    models is non-increasing across the grid, and its common-factor start
+    extends the fitted (p-1, q-1) cell. Non-convergent and non-stationary
     fits are recorded but excluded from selection. Each fitted cell is
     invertible by construction (the fit's search stays in that region), so
     a fitted row's `invertible` is always True. Each row carries its AIC

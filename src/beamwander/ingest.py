@@ -256,23 +256,31 @@ def read_json(path: str):
 
 @contextlib.contextmanager
 def _open_text(path: str):
-    """path opened as UTF-8 text; a byte that does not decode, read
-    anywhere inside the block, raises one ValueError naming the file."""
+    """path opened as UTF-8 text, seekable; a byte that does not decode,
+    read anywhere inside the block, raises one ValueError naming the file.
+    An input that cannot seek, such as a pipe (a shell's <(...)), is read
+    once into memory, so that a parse may start over and the scan for a
+    bad line (`_data_lines`) sees the same text."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield fh
+            if fh.seekable():
+                yield fh
+            else:
+                import io  # loaded at interpreter start-up: no import cost
+                yield io.StringIO(fh.read())
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _data_lines(path: str):
-    """(line number, fields) of every non-empty line after the first, the
-    lines np.loadtxt reads as rows."""
-    with _open_text(path) as fh:
-        next(fh, None)
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip("\r\n"):
-                yield lineno, line.split(",")
+def _data_lines(fh):
+    """(line number, fields) of every non-empty line after the first of the
+    text file fh (`_open_text`), read again from its start: the lines
+    np.loadtxt reads as rows."""
+    fh.seek(0)
+    next(fh, None)
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip("\r\n"):
+            yield lineno, line.split(",")
 
 
 def _loadtxt_float(field: str) -> float:
@@ -301,7 +309,7 @@ def _parse_rows(fh, path: str, ncols: int) -> np.ndarray:
         if data.shape[1] == ncols and np.isfinite(data).all():
             return data
     # the slow path runs only on a bad file, to find its first bad line
-    for lineno, fields in _data_lines(path):
+    for lineno, fields in _data_lines(fh):
         if len(fields) != ncols:
             raise ValueError(f"{path}: line {lineno}: {len(fields)} values, "
                              f"expected {ncols}")
@@ -318,10 +326,15 @@ def read_csv(path: str, header: list[str]) -> np.ndarray:
     """Rows x columns of a numeric CSV whose first line is `header`.
     Every value must be finite; errors name the file and the line."""
     with _open_text(path) as fh:
-        got = [h.strip() for h in fh.readline().split(",")]
-        if got != header:
-            raise ValueError(f"{path}: expected header '{','.join(header)}'")
-        return _parse_rows(fh, path, len(header))
+        return _read_csv(fh, path, header)
+
+
+def _read_csv(fh, path: str, header: list[str]) -> np.ndarray:
+    """read_csv on fh, path opened by `_open_text`."""
+    got = [h.strip() for h in fh.readline().split(",")]
+    if got != header:
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
+    return _parse_rows(fh, path, len(header))
 
 
 def read_series(path: str, header: list[str]) -> tuple[float, np.ndarray]:
@@ -331,18 +344,19 @@ def read_series(path: str, header: list[str]) -> tuple[float, np.ndarray]:
     first to 1e-6 relative tolerance. Returns the sample period and the
     value columns, one contiguous row each.
     """
-    data = read_csv(path, header)
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least two rows")
-    steps = np.diff(data[:, 0])
-    dt = float(steps[0])
-    bad = np.flatnonzero((steps <= 0) | ~(
-        np.abs(steps - dt) <= _SPACING_RTOL * np.maximum(np.abs(steps), abs(dt))))
-    if bad.size:
-        row = int(bad[0]) + 2  # 1-based data row ending the bad step
-        lineno = next(itertools.islice(_data_lines(path), row - 1, None))[0]
-        raise ValueError(f"{path}: non-uniform or non-increasing sample "
-                         f"spacing at data row {row} (line {lineno})")
+    with _open_text(path) as fh:
+        data = _read_csv(fh, path, header)
+        if data.shape[0] < 2:
+            raise ValueError(f"{path}: need at least two rows")
+        steps = np.diff(data[:, 0])
+        dt = float(steps[0])
+        bad = np.flatnonzero((steps <= 0) | ~(
+            np.abs(steps - dt) <= _SPACING_RTOL * np.maximum(np.abs(steps), abs(dt))))
+        if bad.size:
+            row = int(bad[0]) + 2  # 1-based data row ending the bad step
+            lineno = next(itertools.islice(_data_lines(fh), row - 1, None))[0]
+            raise ValueError(f"{path}: non-uniform or non-increasing sample "
+                             f"spacing at data row {row} (line {lineno})")
     return dt, np.ascontiguousarray(data[:, 1:].T)
 
 

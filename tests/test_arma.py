@@ -751,8 +751,11 @@ class TestGlobalMinimum:
                 worse.append(seed)
         assert worse == []
 
-    def test_scan_cell_reaches_truth_started_css(self):
-        x = simulate(TABLE_MODEL, 3000, seed=3)
+    # one scan of 0.2 s a seed: the scan's (2,2) cell is where a deleted
+    # common-factor start would first be missed
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scan_cell_reaches_truth_started_css(self, seed):
+        x = simulate(TABLE_MODEL, 3000, seed=seed)
         rows, _, _ = order_scan(x, 5, 5, estimate_c=False)
         row = next(r for r in rows if (r["p"], r["q"]) == (2, 2))
         assert row["css"] <= self.truth_css(x) * (1 + 1e-9)
@@ -810,6 +813,102 @@ def gauss_newton_all_halvings(params0, x, p, q):
     return (params, css, iterations, converged, eps), no_ops
 
 
+# A frozen copy of the Gauss-Newton primitives as they stood before the
+# loop was made to allocate less: the step-down test, the CSS, the
+# Jacobian and the normal-equation solve. arma's own may be rewritten for
+# speed, but TestEngine::test_gauss_newton_matches_frozen_reference
+# requires the same bits from them. scipy's lfilter stands for arma._lfilter,
+# which TestInverseFilter pins to it.
+
+def frozen_outside_unit_circle(poly):
+    a = [float(v) for v in poly]
+    while len(a) > 1:
+        k = a[-1]
+        if not abs(k) < 1.0:
+            return False
+        a = [(a[i] - k * a[-1 - i]) / (1.0 - k * k) for i in range(len(a) - 1)]
+    return True
+
+
+def frozen_css(params, x, p, q):
+    theta = np.concatenate(([1.0], params[p:]))
+    if not frozen_outside_unit_circle(theta):
+        return math.inf, None, None
+    u = lfilter([1.0], theta, x)
+    eps = np.convolve(np.concatenate(([1.0], -params[:p])), u)[:x.size]
+    s = float(np.dot(eps, eps))
+    return (s, eps, u) if math.isfinite(s) else (math.inf, None, None)
+
+
+def frozen_ols(A, y):
+    ata, aty = A.T @ A, A.T @ y
+    if not (np.isfinite(ata).all() and np.isfinite(aty).all()):
+        raise np.linalg.LinAlgError("normal equations are not finite")
+    try:
+        return np.linalg.solve(ata, aty)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(ata, aty, rcond=None)[0]
+
+
+def frozen_jacobian(params, eps, u, p, q):
+    J = np.zeros((u.size, p + q), order="F")
+    for i in range(1, p + 1):
+        J[i:, i - 1] = -u[:-i]
+    if q:
+        v = lfilter([1.0], np.concatenate(([1.0], params[p:])), eps)
+        for j in range(1, q + 1):
+            J[j:, p + j - 1] = -v[:-j]
+    return J
+
+
+def frozen_gauss_newton(params0, x, p, q):
+    """arma._gauss_newton's loop on the frozen primitives."""
+    params = params0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        css, eps, u = frozen_css(params, x, p, q)
+        if params.size == 0 or eps is None:
+            return params, css, 0, eps is not None, eps
+        converged = False
+        iterations = 0
+        for iterations in range(1, arma._MAX_ITER + 1):
+            step = -frozen_ols(frozen_jacobian(params, eps, u, p, q), eps)
+            new_css = None
+            t = 1.0
+            for _ in range(40):
+                trial = params + t * step
+                s, trial_eps, trial_u = frozen_css(trial, x, p, q)
+                if s < css:
+                    new_css = s
+                    params, eps, u = trial, trial_eps, trial_u
+                    break
+                if trial.tobytes() == params.tobytes():
+                    break
+                t *= 0.5
+            if new_css is None:
+                converged = True
+                break
+            if abs(css - new_css) <= arma._TOL * css:
+                css = new_css
+                converged = True
+                break
+            css = new_css
+    return params, css, iterations, converged, eps
+
+
+def line_search_cases():
+    """(x, p, q, start): the 72 cases of test_line_search_end_is_exact."""
+    rng = np.random.default_rng(28)
+    for case in range(24):
+        p, q = (int(v) for v in rng.integers(0, 4, 2))
+        if p + q == 0:
+            continue
+        x = simulate(TABLE_MODEL, 600, seed=case)
+        starts = [arma._hannan_rissanen(x, p, q, arma._long_ar(x)),
+                  np.zeros(p + q), rng.normal(0.0, 0.3, p + q)]
+        for s0 in starts:
+            yield x, p, q, s0
+
+
 class TestEngine:
     def test_jacobian_matches_finite_differences(self):
         x = simulate(TABLE_MODEL, 500, seed=26) + 3.0
@@ -851,6 +950,32 @@ class TestEngine:
                     assert got[4].tobytes() == expect[4].tobytes()
                 no_ops += seen
         assert no_ops > 0
+
+    @pytest.mark.parametrize("tol", [arma._TOL, 0.0], ids=["tol", "no_tol"])
+    def test_gauss_newton_matches_frozen_reference(self, monkeypatch, tol):
+        # every case also runs with every seventh sample a negative zero,
+        # whose sign a filter or convolution by a lone 1.0 would drop
+        monkeypatch.setattr(arma, "_TOL", tol)
+        cases = 0
+        for x, p, q, s0 in line_search_cases():
+            signed = x.copy()
+            signed[::7] = -0.0
+            for series in (x, signed):
+                expect = frozen_gauss_newton(s0, series, p, q)
+                got = arma._gauss_newton(s0, series, p, q)
+                assert got[0].tobytes() == expect[0].tobytes()
+                assert got[1:4] == expect[1:4]
+                assert (got[4] is None) == (expect[4] is None)
+                if got[4] is not None:
+                    assert got[4].tobytes() == expect[4].tobytes()
+            cases += 1
+        assert cases == 72
+        # u and the residuals too, where one of the two passes is skipped
+        for p, q in ((0, 0), (0, 1), (1, 0)):
+            params = np.full(p + q, 0.5)
+            got, expect = arma._css(params, signed, p, q), frozen_css(params, signed, p, q)
+            assert got[0] == expect[0]
+            assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in expect[1:]]
 
     def test_invertible_matches_roots(self):
         # the step-down decides; np.roots agrees wherever no root is within

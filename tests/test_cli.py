@@ -629,6 +629,28 @@ class TestIngest:
         assert tr.sample_period == pytest.approx(1 / 300, rel=1e-9)
         assert tr.units == "pixels"
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_frames_csv_from_a_pipe(self, tmp_path, capsys):
+        # a shell's <(cat frames.csv) passes a pipe, which cannot seek
+        text = b"2,2\n1,0,0,3\n0,2,1,0\n4,1,0,1\n"
+        frames = tmp_path / "frames.csv"
+        frames.write_bytes(text)
+        code, by_file = run(tmp_path, "ingest", "--frames", str(frames),
+                            "--fps", "4", sub="file")
+        assert code == 0
+        capsys.readouterr()
+        r, w = os.pipe()
+        try:
+            os.write(w, text)
+            os.close(w)
+            code, by_pipe = run(tmp_path, "ingest", "--frames", f"/dev/fd/{r}",
+                                "--fps", "4", sub="pipe")
+        finally:
+            os.close(r)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (by_pipe / "trace.csv").read_bytes() == (by_file / "trace.csv").read_bytes()
+
     @pytest.mark.parametrize("depth", [8, 16])
     def test_frames_csv_and_pgm_write_the_same_trace(self, tmp_path, depth):
         # the CSV's integer counts read as uint16, the PGM files' as

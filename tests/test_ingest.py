@@ -217,9 +217,8 @@ class TestTraceIO:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_bad_row_in_a_stream_read_once(self):
-        # a pipe (as a shell's <(...) passes it) gives its rows to the fast
-        # parse only: reopened for the scan that names the bad line, it is
-        # empty, and the error can only say that some row was bad
+        # a pipe (as a shell's <(...) passes it) is read once, into memory,
+        # so the scan that names the bad line sees the rows the parse saw
         r, w = os.pipe()
         try:
             os.write(w, b"t_s,x,y\n0.0,1,2\n0.01,1,x\n")
@@ -227,7 +226,22 @@ class TestTraceIO:
             path = f"/dev/fd/{r}"
             with pytest.raises(ValueError) as info:
                 read_trace(path)
-            assert str(info.value) == f"{path}: rows are not 3 comma-separated numbers"
+            assert str(info.value) == f"{path}: malformed row at line 3"
+        finally:
+            os.close(r)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_spacing_in_a_stream_named(self):
+        # the line of a bad step is found in the same in-memory text
+        r, w = os.pipe()
+        try:
+            os.write(w, b"t_s,x,y\n0.0,1,2\n\n0.01,1,2\n0.021,1,2\n")
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            with pytest.raises(ValueError) as info:
+                read_trace(path)
+            assert str(info.value) == (f"{path}: non-uniform or non-increasing "
+                                       "sample spacing at data row 3 (line 5)")
         finally:
             os.close(r)
 
