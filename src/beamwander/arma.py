@@ -422,31 +422,48 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, u: np.ndarray, p: int,
     return J
 
 
-def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
+def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
+                  tol: float | None = None):
     """Damped Gauss-Newton on the CSS objective from one starting point.
 
     Exact Jacobian, step-halving line search; converged when the relative
     CSS change drops below _TOL or no descent step remains, with at most
     _MAX_ITER iterations. The normal equations are solved by LU (`_ols`).
-    Returns (params, css, iterations, converged, eps), eps being the
+    Returns (params, css, iterations, converged, eps, state), eps being the
     residuals at params; a start whose CSS is not finite returns
-    (params0, inf, 0, False, None).
+    (params0, inf, 0, False, None, None).
+
+    tol (None for _TOL) screens the run: it also stops, converged, once the
+    relative CSS change drops below tol, and then state is the
+    (params, css, eps, u, iterations) that `_resume` goes on from; on any
+    other stop state is None. The _TOL test comes first, so a run that
+    would have ended there anyway is not screened. A run screened and then
+    resumed takes the same steps as one run to _TOL, bit for bit, and
+    counts its iterations, and the _MAX_ITER cap, across both parts.
 
     A halving ends the line search, as failed, once its trial point equals
     the current one bit for bit: every shorter step rounds to that point
     too, so no later halving can descend, and up to 40 halvings give the
-    same result. One np.errstate covers the run, for the overflow of a
-    trial step (`_css`).
+    same result. One np.errstate covers each part of the run, for the
+    overflow of a trial step (`_css`).
     """
     params = params0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         css, eps, u = _css(params, x, p, q)
-        if params.size == 0 or eps is None:
-            return params, css, 0, eps is not None, eps
+    if params.size == 0 or eps is None:
+        return params, css, 0, eps is not None, eps, None
+    return _resume((params, css, eps, u, 0), x, p, q, tol)
+
+
+def _resume(state: tuple, x: np.ndarray, p: int, q: int, tol: float | None = None):
+    """`_gauss_newton`'s loop from state = (params, css, eps, u, iterations),
+    a point whose CSS is finite, with u = theta(B)^-1 x there (`_css`); it
+    returns as `_gauss_newton` does."""
+    params, css, eps, u, iterations = state
+    tol = _TOL if tol is None else tol
+    with np.errstate(over="ignore", invalid="ignore"):
         J = np.zeros((x.size, params.size), order="F")
-        converged = False
-        iterations = 0
-        for iterations in range(1, _MAX_ITER + 1):
+        for iterations in range(iterations + 1, _MAX_ITER + 1):
             step = -_ols(_jacobian(params, eps, u, p, q, J), eps)
             new_css = None
             t = 1.0
@@ -460,15 +477,15 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
                 if trial.tobytes() == params.tobytes():
                     break
                 t *= 0.5
-            if new_css is None:
-                converged = True  # no descent direction left
-                break
+            if new_css is None:  # no descent direction left
+                return params, css, iterations, True, eps, None
             if abs(css - new_css) <= _TOL * css:
-                css = new_css
-                converged = True
-                break
+                return params, new_css, iterations, True, eps, None
+            if abs(css - new_css) <= tol * css:
+                return (params, new_css, iterations, True, eps,
+                        (params, new_css, eps, u, iterations))
             css = new_css
-    return params, css, iterations, converged, eps
+    return params, css, iterations, False, eps, None
 
 
 # (a, m) pairs of the common factors (1 - a B) on phi and (1 - m B) on theta
@@ -479,6 +496,7 @@ def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int):
 # singular.
 _COMMON_FACTORS = ((0.99, 0.97),)
 _MAX_ITER, _TOL = 500, 1e-10  # Gauss-Newton iteration cap, relative CSS tolerance
+_SCREEN_TOL = 1e-5  # the tolerance every start of a fit runs to (`_fit_css`)
 
 
 def _pad_start(report: FitReport, p: int, q: int) -> np.ndarray:
@@ -495,7 +513,12 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
     search, iteration cap 500. `converged` means the relative CSS change
     dropped below 1e-10 or no descent step was left; it does not mean a
     verified minimum. The optimizer runs from every start of a fixed,
-    deterministic set and the lowest CSS wins:
+    deterministic set, and the starts race: each runs only until its
+    relative CSS change drops below 1e-5 (it is screened), and only the
+    leader, the start with the lowest screened CSS, runs on to 1e-10, by
+    the same steps as one run to 1e-10. A start that stopped on a spent line
+    search or on the cap is already final. `iterations` is the most any
+    start took, the leader's counted over both parts. The starts are:
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
       is singular or its CSS is not finite);
@@ -504,7 +527,7 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
       on phi and (1 - m B) on theta appended, (a, m) = (0.99, 0.97).
 
     Each start is evaluated once; one whose CSS is not finite (outside the
-    invertible region, or overflowing) never wins, since the first start's
+    invertible region, or overflowing) never leads, since the first start's
     CSS is always finite.
 
     Near-cancelling AR/MA root pairs make the CSS surface multimodal, and
@@ -592,18 +615,23 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     order_scan's unit-free (ar, ma) vector warm, and for p, q >= 1 the
     common-factor extension of nested, the series' (p-1, q-1) fit, which
     is fitted here when not given. `_gauss_newton` evaluates each start
-    once. A start whose CSS is not finite ends there at inf and never wins,
-    since the first start's CSS is finite; on ties the earlier start wins.
-    `iterations` is the most any start took."""
+    once and screens it to _SCREEN_TOL. The leader is the start with the
+    lowest screened CSS, the earlier start on a tie, and only its state is
+    kept; when all have run, the leader alone is resumed to _TOL, unless it
+    stopped on a spent line search or on the cap, which leaves it final.
+    The other starts end where they were screened. A start whose CSS is not
+    finite ends there at inf and never leads, since the first start's CSS
+    is finite. `iterations` is the most any start took, the leader's
+    counted over both parts."""
     n = x.size
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
     hr = _hannan_rissanen(x, p, q, long_ar)
-    params, css, iterations, converged, eps = _gauss_newton(hr, x, p, q)
-    if eps is None:
-        params, css, iterations, converged, eps = _gauss_newton(
-            np.zeros_like(hr), x, p, q)
+    lead = _gauss_newton(hr, x, p, q, _SCREEN_TOL)
+    if lead[4] is None:
+        lead = _gauss_newton(np.zeros_like(hr), x, p, q, _SCREEN_TOL)
+    iterations = lead[2]
     starts = [] if warm is None else [warm]
     if p > 0 and q > 0:
         if nested is None:
@@ -613,10 +641,15 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
             theta = np.convolve(nested.model.ma_poly(), [1.0, -m])
             starts.append(np.concatenate((-phi[1:], theta[1:])))
     for s0 in starts:
-        pp, cc, it, conv, ee = _gauss_newton(s0, x, p, q)
-        iterations = max(iterations, it)
-        if cc < css:
-            params, css, converged, eps = pp, cc, conv, ee
+        run = _gauss_newton(s0, x, p, q, _SCREEN_TOL)
+        iterations = max(iterations, run[2])
+        if run[1] < lead[1]:
+            lead = run
+        del run  # a start that lost frees its arrays before the next one runs
+    if lead[5] is not None:  # the leader was screened: finish it
+        lead = _resume(lead[5], x, p, q)
+        iterations = max(iterations, lead[2])
+    params, css, _, converged, eps, _ = lead
     ar, ma = params[:p], params[p:]
 
     k = p + q
@@ -665,7 +698,9 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     fit_css, each cell is warm-started from the lower-CSS of its fitted
     (p-1, q) and (p, q-1) neighbors, zero-padded, so the CSS of nested
     models is non-increasing across the grid, and its common-factor start
-    extends the fitted (p-1, q-1) cell. Non-convergent and non-stationary
+    extends the fitted (p-1, q-1) cell. Every cell races its starts as
+    fit_css does: each is screened to a relative CSS change of 1e-5, and
+    only the leader runs on to 1e-10. Non-convergent and non-stationary
     fits are recorded but excluded from selection. Each fitted cell is
     invertible by construction (the fit's search stays in that region), so
     a fitted row's `invertible` is always True. Each row carries its AIC

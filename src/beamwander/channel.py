@@ -77,31 +77,50 @@ def _hankel_from(l_max: int) -> float:
     return max(1000.0, 8.0 * (l_max + 1) ** 2)
 
 
+def _miller_step(k: int, s: np.ndarray, r: np.ndarray, t: np.ndarray) -> None:
+    """One backward step of `_ive_rows`' recurrences at k, in place:
+    r = s / (2k + s r), t = r (1 + t)."""
+    np.multiply(s, r, out=r)
+    r += 2.0 * k
+    np.divide(s, r, out=r)
+    t += 1.0
+    t *= r
+
+
 def _ive_rows(a: np.ndarray, l_max: int) -> np.ndarray:
     """e^-a I_l(a) for l = 0..l_max at each a >= 0, as an (n, l_max + 1) array.
 
     Up to _hankel_from(l_max), Miller's algorithm (Gautschi, SIAM Review 9,
     1967): the ratios r_k = I_k/I_{k-1} = a/(2k + a r_{k+1}) run backward from
-    r = 0 at k = l_max + 9 sqrt(max a) + 30, where I_k/I_0 ~ exp(-k^2/2a) is
-    far below rounding, and the Neumann sum e^a = I_0 + 2 sum_k I_k, in
-    Horner form T_k = r_k (1 + T_{k+1}), fixes e^-a I_0 = 1/(1 + 2 T_1); then
-    e^-a I_l = e^-a I_0 r_1 ... r_l. Nothing divides by a, a row at a = 0 is
-    exactly [1, 0, ...], and C_0 + 2 (C_1 + ... + C_l_max) <= 1 by
-    construction. Above it, the Hankel expansion (Abramowitz & Stegun
-    9.7.1) to 40 terms.
+    r = 0 at each row's own k = l_max + 9 sqrt(a) + 30, where I_k/I_0 ~
+    exp(-k^2/2a) is far below rounding, and the Neumann sum
+    e^a = I_0 + 2 sum_k I_k, in Horner form T_k = r_k (1 + T_{k+1}), fixes
+    e^-a I_0 = 1/(1 + 2 T_1); then e^-a I_l = e^-a I_0 r_1 ... r_l. Nothing
+    divides by a, a row at a = 0 is exactly [1, 0, ...], and
+    C_0 + 2 (C_1 + ... + C_l_max) <= 1 by construction. Above it, the Hankel
+    expansion (Abramowitz & Stegun 9.7.1) to 40 terms.
+
+    Above the lowest start the rows run sorted by their start, latest
+    first, so that at each k the rows already running are a prefix, and one
+    far sample runs its long recurrence alone. From the lowest start down
+    every row runs, in its own order.
     """
     big = a > _hankel_from(l_max)
     s = np.where(big, 0.0, a)
-    r = np.zeros_like(s)
-    t = np.zeros_like(s)
+    start = l_max + np.ceil(9.0 * np.sqrt(s)).astype(np.int64) + 30
+    order = np.argsort(-start)
+    start = start[order]
+    top, floor = (int(start[0]), int(start[-1])) if a.size else (0, 0)
+    ks = np.arange(top, floor, -1)
+    running = np.searchsorted(-start, -ks, side="right").tolist()
+    sorted_s, sorted_r, sorted_t = s[order], np.zeros_like(s), np.zeros_like(s)
+    for k, m in zip(ks.tolist(), running):
+        _miller_step(k, sorted_s[:m], sorted_r[:m], sorted_t[:m])
+    r, t = np.empty_like(s), np.empty_like(s)
+    r[order], t[order] = sorted_r, sorted_t
     rows = np.empty((a.size, l_max + 1))
-    for k in range(l_max + math.ceil(9.0 * math.sqrt(s.max(initial=0.0))) + 30, 0, -1):
-        # in place: r = s / (2k + s r), t = r (1 + t)
-        np.multiply(s, r, out=r)
-        r += 2.0 * k
-        np.divide(s, r, out=r)
-        t += 1.0
-        t *= r
+    for k in range(floor, 0, -1):
+        _miller_step(k, s, r, t)
         if k <= l_max:
             rows[:, k] = r
     rows[:, 0] = 1.0 / (1.0 + 2.0 * t)

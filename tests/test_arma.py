@@ -738,7 +738,7 @@ class TestGlobalMinimum:
     TRUTH = [1.759, -0.7626, -1.289, 0.3166]
 
     def truth_css(self, x):
-        _, css, _, converged, _ = arma._gauss_newton(np.array(self.TRUTH), x, 2, 2)
+        _, css, _, converged, _, _ = arma._gauss_newton(np.array(self.TRUTH), x, 2, 2)
         assert converged
         return css
 
@@ -995,6 +995,110 @@ class TestEngine:
                 assert flag == bool(np.all(moduli > 1.0))
                 seen.add((name, flag))
         assert len(seen) == 4  # both outcomes of both properties
+
+
+def spy_race(monkeypatch):
+    """Record every `_gauss_newton` result, and every state that `_fit_css`
+    itself resumes, while it races its starts (`_gauss_newton` runs its own
+    loop through `_resume` too)."""
+    runs, resumed, running = [], [], []
+    gauss_newton, resume = arma._gauss_newton, arma._resume
+
+    def spy_gauss_newton(*args, **kwargs):
+        running.append(True)
+        try:
+            runs.append(gauss_newton(*args, **kwargs))
+        finally:
+            running.pop()
+        return runs[-1]
+
+    def spy_resume(state, *args, **kwargs):
+        if not running:
+            resumed.append(state)
+        return resume(state, *args, **kwargs)
+
+    monkeypatch.setattr(arma, "_gauss_newton", spy_gauss_newton)
+    monkeypatch.setattr(arma, "_resume", spy_resume)
+    return runs, resumed
+
+
+class TestRace:
+    """`_fit_css` runs every start to _SCREEN_TOL and finishes only the
+    leader, the start with the lowest screened CSS, to _TOL."""
+
+    def test_screened_then_resumed_is_one_run(self):
+        screened = 0
+        for x, p, q, s0 in line_search_cases():
+            expect = arma._gauss_newton(s0, x, p, q)
+            got = arma._gauss_newton(s0, x, p, q, arma._SCREEN_TOL)
+            if got[5] is not None:
+                assert got[3] and got[2] < expect[2]
+                got = arma._resume(got[5], x, p, q)
+                screened += 1
+            assert got[0].tobytes() == expect[0].tobytes()
+            assert got[1:4] == expect[1:4]
+            assert (got[4] is None) == (expect[4] is None)
+            if got[4] is not None:
+                assert got[4].tobytes() == expect[4].tobytes()
+            assert got[5] is None and expect[5] is None
+        assert screened > 36
+
+    # the leaders are the common-factor, Hannan-Rissanen, warm and warm starts
+    @pytest.mark.parametrize("seed, p, q", [(3, 2, 2), (5, 3, 4), (7, 1, 1), (8, 2, 1)])
+    def test_leader_is_lowest_screened_css(self, monkeypatch, seed, p, q):
+        x = simulate(TABLE_MODEL, 3000, seed=seed)
+        long_ar = arma._long_ar(x)
+        nested = arma._fit_css(x, None, p - 1, q - 1, long_ar)
+        warm = np.zeros(p + q)
+        runs, resumed = spy_race(monkeypatch)
+        rep = arma._fit_css(x, None, p, q, long_ar, warm, nested)
+        assert len(runs) == 3
+        leader = min(runs, key=lambda run: run[1])  # the first of any tie
+        assert [id(state) for state in resumed] == ([] if leader[5] is None
+                                                   else [id(leader[5])])
+        end = leader if leader[5] is None else arma._resume(leader[5], x, p, q)
+        assert rep.css == end[1] and rep.converged == end[3]
+        assert rep.model.ar + rep.model.ma == end[0].tolist()
+        assert rep.iterations == max(run[2] for run in runs + [end])
+
+    def test_earlier_start_wins_a_tie(self, monkeypatch):
+        # the warm start is the Hannan-Rissanen start itself
+        x = simulate(TABLE_MODEL, 3000, seed=3)
+        long_ar = arma._long_ar(x)
+        hr = arma._hannan_rissanen(x, 1, 1, long_ar)
+        nested = arma._fit_css(x, None, 0, 0, long_ar)
+        runs, resumed = spy_race(monkeypatch)
+        arma._fit_css(x, None, 1, 1, long_ar, hr, nested)
+        assert runs[0][1] == runs[1][1] and runs[0][5] is not None
+        assert [id(state) for state in resumed] == [id(runs[0][5])]
+
+    def test_spent_line_search_is_never_resumed(self, monkeypatch):
+        # with no _TOL a run to it ends on a spent line search; a start at
+        # its end point spends its first line search the same way and,
+        # holding the lowest CSS, leads the race as it is
+        monkeypatch.setattr(arma, "_TOL", 0.0)
+        x = simulate(TABLE_MODEL, 600, seed=2)
+        long_ar = arma._long_ar(x)
+        end = arma._gauss_newton(arma._hannan_rissanen(x, 1, 1, long_ar), x, 1, 1)
+        assert end[3] and end[2] < arma._MAX_ITER
+        nested = arma._fit_css(x, None, 0, 0, long_ar)
+        runs, resumed = spy_race(monkeypatch)
+        rep = arma._fit_css(x, None, 1, 1, long_ar, end[0], nested)
+        spent = runs[1]
+        assert spent[1:4] == (end[1], 1, True) and spent[5] is None
+        assert min(runs, key=lambda run: run[1]) is spent
+        assert resumed == [] and rep.css == end[1] and rep.converged
+
+    def test_capped_start_is_never_resumed(self, monkeypatch):
+        monkeypatch.setattr(arma, "_MAX_ITER", 1)
+        x = simulate(TABLE_MODEL, 1500, seed=1)
+        long_ar = arma._long_ar(x)
+        nested = arma._fit_css(x, None, 1, 1, long_ar)
+        runs, resumed = spy_race(monkeypatch)
+        rep = arma._fit_css(x, None, 2, 2, long_ar, np.zeros(4), nested)
+        assert len(runs) == 3
+        assert all(run[2:4] == (1, False) and run[5] is None for run in runs)
+        assert resumed == [] and not rep.converged and rep.iterations == 1
 
 
 class TestOrderScan:

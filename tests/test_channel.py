@@ -142,6 +142,11 @@ class TestMemorylessSample:
         with pytest.raises(ValueError):
             memoryless_sample(0.0, 10, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_refused(self, n):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            memoryless_sample(0.7, n, seed=0)
+
 
 class TestEstimateGamma:
     def test_exact_at_e_inverse(self):
@@ -216,6 +221,21 @@ class TestIveKernel:
     def test_exact_at_zero(self, l_max):
         rows = channel._ive_rows(np.array([0.0, 0.0, 3.0]), l_max)
         assert rows[:2].tolist() == [[1.0] + [0.0] * l_max] * 2
+
+    @pytest.mark.parametrize("l_max", [0, 5, 20])
+    def test_far_sample_leaves_other_rows_alone(self, l_max):
+        # each row's recurrence starts at its own index, so one sample just
+        # below the Hankel switch runs the long recurrence alone, and every
+        # row is the one it would be on its own, bit for bit
+        a = np.random.default_rng(31).exponential(2.0, 2000)
+        a[700] = np.nextafter(channel._hankel_from(l_max), 0.0)
+        a[701] = 0.0
+        rows = channel._ive_rows(a, l_max)
+        for i in (0, 699, 700, 701, 1999):
+            assert rows[i].tobytes() == channel._ive_rows(a[i:i + 1], l_max)[0].tobytes()
+        clean = np.delete(a, 700)
+        assert channel._ive_rows(clean, l_max).tobytes() == np.delete(rows, 700, 0).tobytes()
+        assert channel._ive_rows(np.zeros(0), l_max).shape == (0, l_max + 1)
 
     @pytest.mark.parametrize("l_max", [0, 1, 5, 20, 79])
     def test_rows_sum_to_at_most_one(self, l_max):

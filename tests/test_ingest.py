@@ -76,6 +76,20 @@ class TestWeightedCentroid:
             weighted_centroid(np.zeros((4, 4)))
 
 
+class TestWanderTrace:
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="^xs and ys must have equal length$"):
+            WanderTrace(np.zeros(3), np.zeros(2), 0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_non_finite_values_refused(self, axis, bad):
+        values = {"xs": np.zeros(3), "ys": np.zeros(3)}
+        values[axis][1] = bad
+        with pytest.raises(ValueError, match="^trace values must be finite$"):
+            WanderTrace(sample_period=0.01, **values)
+
+
 class TestCentroidTrace:
     def test_identical_frames(self):
         frames = [gaussian_frame(12.0, 13.0)] * 5
@@ -247,6 +261,17 @@ class TestTraceIO:
 
 
 class TestFrameFiles:
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4), (4, 4)])
+    def test_centroids_of_no_stack_refused(self, shape):
+        with pytest.raises(ValueError, match="^frames must be a non-empty stack of "
+                                             r"equal-shape 2-D arrays, got shape \("):
+            ingest._centroids(np.zeros(shape))
+
+    def test_directory_without_pgm_refused(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("no frames here")
+        with pytest.raises(ValueError, match=f"^{tmp_path}: no .pgm files found$"):
+            load_frames(str(tmp_path))
+
     def test_pgm_roundtrip(self, tmp_path):
         g = (np.arange(12, dtype=np.uint8).reshape(3, 4) * 3)
         path = tmp_path / "f.pgm"

@@ -26,6 +26,12 @@ def loop_run_lengths(x, threshold):
 
 
 class TestAcf:
+    @pytest.mark.parametrize("max_lag", [0, -3])
+    def test_no_lag_refused(self, max_lag):
+        x = np.random.default_rng(0).normal(size=100)
+        with pytest.raises(ValueError, match="^max_lag must be >= 1$"):
+            stats.acf(x, max_lag)
+
     def test_lag_zero_is_one(self):
         x = np.random.default_rng(0).normal(size=100)
         assert stats.acf(x, 10)[0] == 1.0
@@ -115,6 +121,11 @@ class TestPacf:
 
 
 class TestRadialVariance:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_refused(self, n):
+        with pytest.raises(ValueError, match="^need at least two samples$"):
+            stats.radial_variance(np.zeros(n), np.zeros(n))
+
     def test_hand_value(self):
         assert stats.radial_variance([1, -1], [0, 0]) == 1.0
 

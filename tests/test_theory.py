@@ -104,6 +104,13 @@ class TestWanderVariance:
 
 
 class TestOuterScale:
+    @pytest.mark.parametrize("theta0", [0.0, 0.5, np.nextafter(1.0, 0.0)])
+    def test_finite_outer_scale_needs_collimated_beam(self, theta0):
+        p = LinkParams(cn2=1e-14, L=100, omega0=0.01, theta0=theta0, kappa0=1e-4)
+        with pytest.raises(ValueError, match="^finite outer scale form is only "
+                                             r"available for a collimated beam \(theta0 = 1\)$"):
+            wander_variance(p)
+
     def test_small_kappa_bracket(self):
         # kappa0*omega0 = 1e-6 -> bracket = 1 - (1e-12/(1+1e-12))^(1/6) ~ 0.99
         p = LinkParams(cn2=1e-14, L=100, omega0=0.01, kappa0=1e-4)
@@ -158,6 +165,15 @@ class TestOuterScale:
 
 
 class TestLongTermBeam:
+    @pytest.mark.parametrize("omega_st", [0.0, -0.05, math.nan])
+    def test_beam_size_must_be_positive(self, omega_st):
+        with pytest.raises(ValueError, match="^omega_st must be positive$"):
+            long_term_beam_size(omega_st, 1.0)
+
+    def test_negative_wander_variance_refused(self):
+        with pytest.raises(ValueError, match="^rc_var must be >= 0$"):
+            long_term_beam_size(0.05, -1e-12)
+
     def test_no_wander(self):
         assert long_term_beam_size(0.05, 0.0) == 0.05
 
@@ -203,6 +219,11 @@ class TestGreenwood:
     def test_bad_r0(self):
         with pytest.raises(ValueError):
             greenwood_frequency(1.0, 0.0)
+
+    def test_negative_wind_refused(self):
+        # cmd_theory checks the wind first, so only a library call reaches this
+        with pytest.raises(ValueError, match="^wind_speed must be >= 0$"):
+            greenwood_frequency(-1.0, 0.01)
 
 
 class TestLinkParamsInvariants:
