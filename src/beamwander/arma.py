@@ -423,45 +423,42 @@ def _jacobian(params: np.ndarray, eps: np.ndarray, u: np.ndarray, p: int,
 
 
 def _gauss_newton(params0: np.ndarray, x: np.ndarray, p: int, q: int,
-                  tol: float | None = None):
+                  tol: float | None = None, iterations: int = 0):
     """Damped Gauss-Newton on the CSS objective from one starting point.
 
-    Exact Jacobian, step-halving line search; converged when the relative
-    CSS change drops below _TOL or no descent step remains, with at most
-    _MAX_ITER iterations. The normal equations are solved by LU (`_ols`).
-    Returns (params, css, iterations, converged, eps, state), eps being the
-    residuals at params; a start whose CSS is not finite returns
-    (params0, inf, 0, False, None, None).
+    Exact Jacobian, step-halving line search, at most _MAX_ITER iterations;
+    the normal equations are solved by LU (`_ols`). Returns the run
+    (params, css, iterations, stop, eps, u): eps the residuals and u
+    theta(B)^-1 x at params (`_css`). stop says why the run ended:
 
-    tol (None for _TOL) screens the run: it also stops, converged, once the
-    relative CSS change drops below tol, and then state is the
-    (params, css, eps, u, iterations) that `_resume` goes on from; on any
-    other stop state is None. The _TOL test comes first, so a run that
-    would have ended there anyway is not screened. A run screened and then
-    resumed takes the same steps as one run to _TOL, bit for bit, and
-    counts its iterations, and the _MAX_ITER cap, across both parts.
+    - "tolerance": the relative CSS change dropped below _TOL;
+    - "spent": no descent step was left (as for a start with no parameters);
+    - "cap": the _MAX_ITER-th iteration ended the run;
+    - "screened": the relative change dropped below tol (None for _TOL) but
+      not below _TOL, which is tested first;
+    - "not_finite": the start's CSS is not finite, and the run is
+      (params0, inf, iterations, "not_finite", None, None).
+
+    Only "cap" and "not_finite" are not converged. A screened run finishes
+    as `_gauss_newton(params, x, p, q, iterations=iterations)` from its own
+    params: `_css` gives the same css, eps and u there bit for bit, so the
+    two parts take the same steps as one run to _TOL, and count their
+    iterations, and the _MAX_ITER cap, as one run does.
 
     A halving ends the line search, as failed, once its trial point equals
     the current one bit for bit: every shorter step rounds to that point
     too, so no later halving can descend, and up to 40 halvings give the
-    same result. One np.errstate covers each part of the run, for the
-    overflow of a trial step (`_css`).
+    same result. One np.errstate covers the run, for the overflow of a
+    trial step (`_css`).
     """
     params = params0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        css, eps, u = _css(params, x, p, q)
-    if params.size == 0 or eps is None:
-        return params, css, 0, eps is not None, eps, None
-    return _resume((params, css, eps, u, 0), x, p, q, tol)
-
-
-def _resume(state: tuple, x: np.ndarray, p: int, q: int, tol: float | None = None):
-    """`_gauss_newton`'s loop from state = (params, css, eps, u, iterations),
-    a point whose CSS is finite, with u = theta(B)^-1 x there (`_css`); it
-    returns as `_gauss_newton` does."""
-    params, css, eps, u, iterations = state
     tol = _TOL if tol is None else tol
     with np.errstate(over="ignore", invalid="ignore"):
+        css, eps, u = _css(params, x, p, q)
+        if eps is None:
+            return params, css, iterations, "not_finite", None, None
+        if params.size == 0:
+            return params, css, iterations, "spent", eps, u
         J = np.zeros((x.size, params.size), order="F")
         for iterations in range(iterations + 1, _MAX_ITER + 1):
             step = -_ols(_jacobian(params, eps, u, p, q, J), eps)
@@ -478,14 +475,13 @@ def _resume(state: tuple, x: np.ndarray, p: int, q: int, tol: float | None = Non
                     break
                 t *= 0.5
             if new_css is None:  # no descent direction left
-                return params, css, iterations, True, eps, None
+                return params, css, iterations, "spent", eps, u
             if abs(css - new_css) <= _TOL * css:
-                return params, new_css, iterations, True, eps, None
+                return params, new_css, iterations, "tolerance", eps, u
             if abs(css - new_css) <= tol * css:
-                return (params, new_css, iterations, True, eps,
-                        (params, new_css, eps, u, iterations))
+                return params, new_css, iterations, "screened", eps, u
             css = new_css
-    return params, css, iterations, False, eps, None
+    return params, css, iterations, "cap", eps, u
 
 
 # (a, m) pairs of the common factors (1 - a B) on phi and (1 - m B) on theta
@@ -515,10 +511,11 @@ def fit_css(series, p: int, q: int, estimate_c: bool = True) -> FitReport:
     verified minimum. The optimizer runs from every start of a fixed,
     deterministic set, and the starts race: each runs only until its
     relative CSS change drops below 1e-5 (it is screened), and only the
-    leader, the start with the lowest screened CSS, runs on to 1e-10, by
-    the same steps as one run to 1e-10. A start that stopped on a spent line
-    search or on the cap is already final. `iterations` is the most any
-    start took, the leader's counted over both parts. The starts are:
+    leader, the start with the lowest screened CSS, is finished from its
+    params to 1e-10, by the same steps as one run to 1e-10. A start that
+    stopped on a spent line search or on the cap is already final.
+    `iterations` is the most any start took, the leader's counted over both
+    parts. The starts are:
 
     - the Hannan-Rissanen two-stage estimate (zeros when that regression
       is singular or its CSS is not finite);
@@ -616,20 +613,22 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     common-factor extension of nested, the series' (p-1, q-1) fit, which
     is fitted here when not given. `_gauss_newton` evaluates each start
     once and screens it to _SCREEN_TOL. The leader is the start with the
-    lowest screened CSS, the earlier start on a tie, and only its state is
-    kept; when all have run, the leader alone is resumed to _TOL, unless it
-    stopped on a spent line search or on the cap, which leaves it final.
-    The other starts end where they were screened. A start whose CSS is not
-    finite ends there at inf and never leads, since the first start's CSS
-    is finite. `iterations` is the most any start took, the leader's
-    counted over both parts."""
+    lowest screened CSS, the earlier start on a tie, and only its run is
+    kept; when all have run, a leader that stopped "screened" alone is
+    finished from its params to _TOL, and one that stopped on a spent line
+    search or on the cap is final. The other starts end where they were
+    screened. A start whose CSS is not finite ends there at inf and never
+    leads, since the first start's CSS is finite. `iterations` is the most
+    any start took, the leader's counted over both parts. `converged` is
+    False exactly when the leader stopped on the cap, and the standard
+    errors come from the leader's own residuals and theta(B)^-1 x."""
     n = x.size
     if n <= 10 * (p + q + 1):
         raise ValueError(f"series too short: need n > {10 * (p + q + 1)}, got {n}")
 
     hr = _hannan_rissanen(x, p, q, long_ar)
     lead = _gauss_newton(hr, x, p, q, _SCREEN_TOL)
-    if lead[4] is None:
+    if lead[3] == "not_finite":
         lead = _gauss_newton(np.zeros_like(hr), x, p, q, _SCREEN_TOL)
     iterations = lead[2]
     starts = [] if warm is None else [warm]
@@ -646,10 +645,11 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
         if run[1] < lead[1]:
             lead = run
         del run  # a start that lost frees its arrays before the next one runs
-    if lead[5] is not None:  # the leader was screened: finish it
-        lead = _resume(lead[5], x, p, q)
-        iterations = max(iterations, lead[2])
-    params, css, _, converged, eps, _ = lead
+    params, css, steps, stop, eps, u = lead
+    if stop == "screened":  # finish the leader from its params
+        params, css, steps, stop, eps, u = _gauss_newton(params, x, p, q,
+                                                         iterations=steps)
+        iterations = max(iterations, steps)
     ar, ma = params[:p], params[p:]
 
     k = p + q
@@ -658,7 +658,6 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     cov = np.empty((0, 0))
     if k > 0:
         with np.errstate(over="ignore", invalid="ignore"):
-            u = _lfilter([1.0], np.concatenate(([1.0], ma)), x)
             J = _jacobian(params, eps, u, p, q)
         try:
             cov = sigma2 * np.linalg.inv(J.T @ J)
@@ -684,7 +683,7 @@ def _fit_css(x: np.ndarray, mean: float | None, p: int, q: int, long_ar,
     aic, bic = information_criteria(loglik, k_ic, n)
     return FitReport(model=ArmaModel(c=c, ar=list(ar), ma=list(ma), sigma2=sigma2),
                      n=n, css=css, loglik=loglik, aic=aic, bic=bic,
-                     stderr=stderr, converged=converged, iterations=iterations,
+                     stderr=stderr, converged=stop != "cap", iterations=iterations,
                      residuals=eps)
 
 
@@ -700,10 +699,10 @@ def order_scan(series, p_max: int, q_max: int, estimate_c: bool = True) -> tuple
     models is non-increasing across the grid, and its common-factor start
     extends the fitted (p-1, q-1) cell. Every cell races its starts as
     fit_css does: each is screened to a relative CSS change of 1e-5, and
-    only the leader runs on to 1e-10. Non-convergent and non-stationary
-    fits are recorded but excluded from selection. Each fitted cell is
-    invertible by construction (the fit's search stays in that region), so
-    a fitted row's `invertible` is always True. Each row carries its AIC
+    only the leader is finished from its params to 1e-10. Non-convergent
+    and non-stationary fits are recorded but excluded from selection. Each
+    fitted cell is invertible by construction (the fit's search stays in
+    that region), so a fitted row's `invertible` is always True. Each row carries its AIC
     too, but only BIC selects. `fits` holds every fitted cell, converged
     or not, and `fits[selected]` is the model the scan scored. As in
     fit_css, a start whose CSS is not finite never wins; with c estimated

@@ -417,25 +417,23 @@ def read_pgm(path: str) -> np.ndarray:
 
 def _parse_counts(fh, ncols: int) -> np.ndarray | None:
     """Parse the rest of fh as rows of ncols unsigned 16-bit integer counts,
-    empty lines skipped; None, with fh back where it was, when the first
-    non-empty line is not such a row or a later line fails the parse.
+    empty lines skipped; None, with fh back where it was, when a line fails
+    the parse, a row has another length or the body is empty.
 
     The uint16 parse accepts a strict subset of the text the float parse
     accepts ("5", "+5", "05", " 5", up to 65535; not "-0", "5.0", "1e3",
-    "70000", "nan" or an empty field), with equal values. The first line
-    is tried alone because a failed parse of the whole body reads ahead
-    before it fails, and so would slow every float-valued file; a body
-    whose counts turn non-integer after that line is parsed twice.
+    "70000", "nan" or an empty field), with equal values. A float-valued
+    body fails at its first float, so it costs little before the float
+    parse; a body whose counts turn non-integer late is parsed twice.
     """
-    counts = dict(dtype=np.uint16, delimiter=",", ndmin=2, comments=None)
     start = fh.tell()
     try:
-        line = next(filter(lambda s: s.strip("\r\n"), iter(fh.readline, "")), "")
-        if line and np.loadtxt([line], **counts).shape[1] == ncols:
-            fh.seek(start)
-            data = np.loadtxt(fh, **counts)
-            if data.shape[1] == ncols:
-                return data
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(fh, dtype=np.uint16, delimiter=",", ndmin=2,
+                              comments=None)
+        if data.size and data.shape[1] == ncols:
+            return data
     except ValueError:  # also a byte that is not UTF-8: _parse_rows names it
         pass
     fh.seek(start)

@@ -497,6 +497,7 @@ class TestFitCss:
         hr = arma._hannan_rissanen(x, 0, 1, arma._long_ar(x))
         assert hr[0] == pytest.approx(-1.161, abs=1e-3)
         assert arma._css(hr, x, 0, 1)[0] == math.inf
+        assert arma._gauss_newton(hr, x, 0, 1)[1:4] == (math.inf, 0, "not_finite")
         rep = fit_css(x, 0, 1, estimate_c=False)
         assert rep.converged and rep.model.invertible
         assert rep.css == arma._gauss_newton(np.zeros(1), x, 0, 1)[1]
@@ -738,8 +739,8 @@ class TestGlobalMinimum:
     TRUTH = [1.759, -0.7626, -1.289, 0.3166]
 
     def truth_css(self, x):
-        _, css, _, converged, _, _ = arma._gauss_newton(np.array(self.TRUTH), x, 2, 2)
-        assert converged
+        _, css, _, stop, _, _ = arma._gauss_newton(np.array(self.TRUTH), x, 2, 2)
+        assert stop == "tolerance"
         return css
 
     def test_fit_css_reaches_truth_started_css(self):
@@ -895,6 +896,30 @@ def frozen_gauss_newton(params0, x, p, q):
     return params, css, iterations, converged, eps
 
 
+def frozen_stderr(rep, x, mean):
+    """The standard errors of the fit rep of x, the series as the fit saw
+    it (`_check_and_demean`'s (x, mean)), by the formula that filtered x a
+    second time for theta(B)^-1 x instead of taking the leader's own."""
+    p, q, n = rep.model.p, rep.model.q, x.size
+    ar, ma = rep.model.ar, rep.model.ma
+    sigma2 = rep.model.sigma2
+    cov = np.empty((0, 0))
+    if p + q:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = arma._lfilter([1.0], np.concatenate(([1.0], ma)), x)
+            J = arma._jacobian(np.array(ar + ma), rep.residuals, u, p, q)
+        try:
+            cov = sigma2 * np.linalg.inv(J.T @ J)
+        except np.linalg.LinAlgError:
+            cov = np.full((p + q, p + q), np.nan)
+    var = np.diag(cov)
+    if mean is not None:
+        var_c = (sigma2 * (1.0 + float(np.sum(ma))) ** 2 / n
+                 + mean ** 2 * float(np.sum(cov[:p, :p])))
+        var = np.concatenate(([var_c], var))
+    return [math.sqrt(v) if v > 0 else float("nan") for v in var]
+
+
 def line_search_cases():
     """(x, p, q, start): the 72 cases of test_line_search_end_is_exact."""
     rng = np.random.default_rng(28)
@@ -944,7 +969,8 @@ class TestEngine:
                 expect, seen = gauss_newton_all_halvings(s0, x, p, q)
                 got = arma._gauss_newton(s0, x, p, q)
                 assert got[0].tobytes() == expect[0].tobytes()
-                assert got[1:4] == expect[1:4]
+                assert got[1:3] == expect[1:3]
+                assert (got[3] not in ("cap", "not_finite")) == expect[3]
                 assert (got[4] is None) == (expect[4] is None)
                 if got[4] is not None:
                     assert got[4].tobytes() == expect[4].tobytes()
@@ -964,7 +990,8 @@ class TestEngine:
                 expect = frozen_gauss_newton(s0, series, p, q)
                 got = arma._gauss_newton(s0, series, p, q)
                 assert got[0].tobytes() == expect[0].tobytes()
-                assert got[1:4] == expect[1:4]
+                assert got[1:3] == expect[1:3]
+                assert (got[3] not in ("cap", "not_finite")) == expect[3]
                 assert (got[4] is None) == (expect[4] is None)
                 if got[4] is not None:
                     assert got[4].tobytes() == expect[4].tobytes()
@@ -976,6 +1003,24 @@ class TestEngine:
             got, expect = arma._css(params, signed, p, q), frozen_css(params, signed, p, q)
             assert got[0] == expect[0]
             assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in expect[1:]]
+
+    def test_stderr_matches_frozen_formula(self):
+        # with q = 0 and q >= 1, c fixed and estimated, and on a series
+        # whose every seventh sample is a negative zero
+        cases = 0
+        for seed, (p, q) in enumerate(((0, 0), (2, 0), (0, 2), (1, 1), (2, 2))):
+            x = simulate(TABLE_MODEL, 600, seed=seed) + 3.0
+            signed = x.copy()
+            signed[::7] = -0.0
+            for series in (x, signed):
+                for estimate_c in (False, True):
+                    rep = fit_css(series, p, q, estimate_c)
+                    seen, mean = arma._check_and_demean(series, estimate_c)
+                    expect = frozen_stderr(rep, seen, mean)
+                    assert len(rep.stderr) == p + q + estimate_c
+                    assert np.array(rep.stderr).tobytes() == np.array(expect).tobytes()
+                    cases += 1
+        assert cases == 20
 
     def test_invertible_matches_roots(self):
         # the step-down decides; np.roots agrees wherever no root is within
@@ -998,28 +1043,22 @@ class TestEngine:
 
 
 def spy_race(monkeypatch):
-    """Record every `_gauss_newton` result, and every state that `_fit_css`
-    itself resumes, while it races its starts (`_gauss_newton` runs its own
-    loop through `_resume` too)."""
-    runs, resumed, running = [], [], []
-    gauss_newton, resume = arma._gauss_newton, arma._resume
+    """Record every `_gauss_newton` run while `_fit_css` races its starts,
+    and apart from them every finish: a call with iterations > 0, which
+    goes on from the leader's params, as (params0, iterations, run)."""
+    runs, finishes = [], []
+    gauss_newton = arma._gauss_newton
 
-    def spy_gauss_newton(*args, **kwargs):
-        running.append(True)
-        try:
-            runs.append(gauss_newton(*args, **kwargs))
-        finally:
-            running.pop()
-        return runs[-1]
-
-    def spy_resume(state, *args, **kwargs):
-        if not running:
-            resumed.append(state)
-        return resume(state, *args, **kwargs)
+    def spy_gauss_newton(params0, x, p, q, tol=None, iterations=0):
+        run = gauss_newton(params0, x, p, q, tol, iterations)
+        if iterations:
+            finishes.append((params0, iterations, run))
+        else:
+            runs.append(run)
+        return run
 
     monkeypatch.setattr(arma, "_gauss_newton", spy_gauss_newton)
-    monkeypatch.setattr(arma, "_resume", spy_resume)
-    return runs, resumed
+    return runs, finishes
 
 
 class TestRace:
@@ -1031,16 +1070,17 @@ class TestRace:
         for x, p, q, s0 in line_search_cases():
             expect = arma._gauss_newton(s0, x, p, q)
             got = arma._gauss_newton(s0, x, p, q, arma._SCREEN_TOL)
-            if got[5] is not None:
-                assert got[3] and got[2] < expect[2]
-                got = arma._resume(got[5], x, p, q)
+            if got[3] == "screened":
+                assert got[2] < expect[2]
+                got = arma._gauss_newton(got[0], x, p, q, iterations=got[2])
                 screened += 1
             assert got[0].tobytes() == expect[0].tobytes()
             assert got[1:4] == expect[1:4]
-            assert (got[4] is None) == (expect[4] is None)
-            if got[4] is not None:
-                assert got[4].tobytes() == expect[4].tobytes()
-            assert got[5] is None and expect[5] is None
+            assert expect[3] != "screened"
+            for a, b in ((got[4], expect[4]), (got[5], expect[5])):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes()
         assert screened > 36
 
     # the leaders are the common-factor, Hannan-Rissanen, warm and warm starts
@@ -1050,14 +1090,14 @@ class TestRace:
         long_ar = arma._long_ar(x)
         nested = arma._fit_css(x, None, p - 1, q - 1, long_ar)
         warm = np.zeros(p + q)
-        runs, resumed = spy_race(monkeypatch)
+        runs, finishes = spy_race(monkeypatch)
         rep = arma._fit_css(x, None, p, q, long_ar, warm, nested)
         assert len(runs) == 3
         leader = min(runs, key=lambda run: run[1])  # the first of any tie
-        assert [id(state) for state in resumed] == ([] if leader[5] is None
-                                                   else [id(leader[5])])
-        end = leader if leader[5] is None else arma._resume(leader[5], x, p, q)
-        assert rep.css == end[1] and rep.converged == end[3]
+        assert [(id(params0), iterations) for params0, iterations, _ in finishes] == (
+            [(id(leader[0]), leader[2])] if leader[3] == "screened" else [])
+        end = finishes[0][2] if finishes else leader
+        assert rep.css == end[1] and rep.converged == (end[3] != "cap")
         assert rep.model.ar + rep.model.ma == end[0].tolist()
         assert rep.iterations == max(run[2] for run in runs + [end])
 
@@ -1067,10 +1107,10 @@ class TestRace:
         long_ar = arma._long_ar(x)
         hr = arma._hannan_rissanen(x, 1, 1, long_ar)
         nested = arma._fit_css(x, None, 0, 0, long_ar)
-        runs, resumed = spy_race(monkeypatch)
+        runs, finishes = spy_race(monkeypatch)
         arma._fit_css(x, None, 1, 1, long_ar, hr, nested)
-        assert runs[0][1] == runs[1][1] and runs[0][5] is not None
-        assert [id(state) for state in resumed] == [id(runs[0][5])]
+        assert runs[0][1] == runs[1][1] and runs[0][3] == "screened"
+        assert [id(params0) for params0, _, _ in finishes] == [id(runs[0][0])]
 
     def test_spent_line_search_is_never_resumed(self, monkeypatch):
         # with no _TOL a run to it ends on a spent line search; a start at
@@ -1080,25 +1120,25 @@ class TestRace:
         x = simulate(TABLE_MODEL, 600, seed=2)
         long_ar = arma._long_ar(x)
         end = arma._gauss_newton(arma._hannan_rissanen(x, 1, 1, long_ar), x, 1, 1)
-        assert end[3] and end[2] < arma._MAX_ITER
+        assert end[3] == "spent" and end[2] < arma._MAX_ITER
         nested = arma._fit_css(x, None, 0, 0, long_ar)
-        runs, resumed = spy_race(monkeypatch)
+        runs, finishes = spy_race(monkeypatch)
         rep = arma._fit_css(x, None, 1, 1, long_ar, end[0], nested)
         spent = runs[1]
-        assert spent[1:4] == (end[1], 1, True) and spent[5] is None
+        assert spent[1:4] == (end[1], 1, "spent")
         assert min(runs, key=lambda run: run[1]) is spent
-        assert resumed == [] and rep.css == end[1] and rep.converged
+        assert finishes == [] and rep.css == end[1] and rep.converged
 
     def test_capped_start_is_never_resumed(self, monkeypatch):
         monkeypatch.setattr(arma, "_MAX_ITER", 1)
         x = simulate(TABLE_MODEL, 1500, seed=1)
         long_ar = arma._long_ar(x)
         nested = arma._fit_css(x, None, 1, 1, long_ar)
-        runs, resumed = spy_race(monkeypatch)
+        runs, finishes = spy_race(monkeypatch)
         rep = arma._fit_css(x, None, 2, 2, long_ar, np.zeros(4), nested)
         assert len(runs) == 3
-        assert all(run[2:4] == (1, False) and run[5] is None for run in runs)
-        assert resumed == [] and not rep.converged and rep.iterations == 1
+        assert all(run[2:4] == (1, "cap") for run in runs)
+        assert finishes == [] and not rep.converged and rep.iterations == 1
 
 
 class TestOrderScan:
